@@ -26,18 +26,7 @@ from .audit import CATALOG, DEFAULT_SPAN, REFUTED, audit_all, reports_to_json
 from .errors import HybridQuatError, RationalRoots
 from .hybrid_quaternion import COLUMN_NAMES, HybridQuaternion
 from .scalars import QuadExt, parse_scalar
-from .sequences import (
-    REGISTRY,
-    HoradamParams,
-    binet_hybrid,
-    binet_hybrid_quaternion,
-    binet_quaternion,
-    binet_scalar,
-    lift_hybrid,
-    lift_hybrid_quaternion,
-    lift_quaternion,
-    window,
-)
+from .sequences import LIFT_TERMS, REGISTRY, BinetData, HoradamParams, Window, binet_data
 
 LIFTS = ("scalar", "hybrid", "quaternion", "hybrid-quaternion")
 METHODS = ("recurrence", "binet")
@@ -49,9 +38,6 @@ _HEADERS = {
     "quaternion": ("z0", "z1", "z2", "z3"),
     "hybrid-quaternion": COLUMN_NAMES,
 }
-
-# extra terms the recurrence window must carry past ``to`` for each lift
-_LOOKAHEAD = {"scalar": 0, "hybrid": 3, "quaternion": 3, "hybrid-quaternion": 6}
 
 
 @dataclass(frozen=True)
@@ -106,31 +92,21 @@ def _rational(value: Fraction | QuadExt) -> Fraction:
     return value
 
 
-def _binet_row(params: HoradamParams, lift: str, n: int) -> list[Fraction]:
+def _binet_row(data: BinetData, lift: str, n: int) -> list[Fraction]:
     if lift == "scalar":
-        return [_rational(binet_scalar(params, n))]
+        return [_rational(data.scalar(n))]
     if lift == "hybrid":
-        return [_rational(c) for c in binet_hybrid(params, n).components()]
+        return [_rational(c) for c in data.hybrid(n).components()]
     if lift == "quaternion":
-        return [_rational(c) for c in binet_quaternion(params, n).components()]
-    return [_rational(c) for c in binet_hybrid_quaternion(params, n).coeffs]
+        return [_rational(c) for c in data.quaternion(n).components()]
+    return [_rational(c) for c in data.hybrid_quaternion(n).coeffs]
 
 
 def _recurrence_rows(
     params: HoradamParams, lift: str, lo: int, hi: int
 ) -> list[list[Fraction]]:
-    terms = window(params, lo, hi + _LOOKAHEAD[lift])
-    rows = []
-    for n in range(lo, hi + 1):
-        i = n - lo
-        if lift == "scalar":
-            rows.append([terms[i]])
-        elif lift == "hybrid-quaternion":
-            w = terms[i : i + 7]
-            rows.append([w[s + t] for s in range(4) for t in range(4)])
-        else:
-            rows.append(terms[i : i + 4])
-    return rows
+    w = Window(params, lo, hi + LIFT_TERMS[lift] - 1)
+    return [w.coeffs(lift, n) for n in range(lo, hi + 1)]
 
 
 def _emit_table(
@@ -151,12 +127,10 @@ def run_seq(config: CliConfig, out: IO[str]) -> int:
     params = config.params
     if config.method == "binet":
         try:
-            body = [
-                (n, _binet_row(params, config.lift, n))
-                for n in range(config.lo, config.hi + 1)
-            ]
+            data = binet_data(params)
         except RationalRoots as exc:
             raise UsageError(f"rational roots: {exc}") from None
+        body = [(n, _binet_row(data, config.lift, n)) for n in range(config.lo, config.hi + 1)]
     else:
         values = _recurrence_rows(params, config.lift, config.lo, config.hi)
         body = list(zip(range(config.lo, config.hi + 1), values))

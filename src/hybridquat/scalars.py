@@ -61,7 +61,8 @@ class QuadExt:
     """An element a + b*sqrt(D) of the quadratic field Q(sqrt(D)).
 
     D is normalised to be squarefree at construction (sqrt(8) becomes
-    2*sqrt(2)), so equality is plain componentwise comparison.  Values are
+    2*sqrt(2)), so equality is componentwise comparison; a surd-free value
+    equals the same rational whatever its discriminant.  Values are
     immutable.  int and Fraction operands are lifted into the field; two
     QuadExt values with different discriminants refuse to mix and raise
     MixedDiscriminant instead of guessing.
@@ -185,10 +186,11 @@ class QuadExt:
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
-            if other.discriminant != self.discriminant:
-                return NotImplemented
+            # a surd-free value is a rational, whatever field it was built in
             return (
-                self.rat_part == other.rat_part and self.surd_part == other.surd_part
+                self.rat_part == other.rat_part
+                and self.surd_part == other.surd_part
+                and (not self.surd_part or self.discriminant == other.discriminant)
             )
         if isinstance(other, (int, Fraction)):
             return not self.surd_part and self.rat_part == other

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NegativeIndexWithZeroQ
 from .hybrid import Hybrid
@@ -129,21 +130,68 @@ def horadam(seq, n: int) -> Fraction:
     return window(seq, n, n)[0]
 
 
+# lift -> number of consecutive terms, from w_n on, that it places on its basis
+LIFT_TERMS = {"scalar": 1, "hybrid": 4, "quaternion": 4, "hybrid-quaternion": 7}
+
+
+class Window:
+    """Terms w_lo .. w_hi of one sequence from a single recurrence pass.
+
+    A lift at any n whose terms fall inside the window is read off as a
+    slice, laid out on the basis as in the module docstring.
+    """
+
+    def __init__(self, seq, lo: int, hi: int):
+        self.lo = lo
+        self.terms = window(seq, lo, hi)
+
+    def coeffs(self, lift: str, n: int) -> list:
+        """Coefficients of the lift at n in basis order (flat canonical
+        order for the hybrid quaternion)."""
+        i = n - self.lo
+        width = LIFT_TERMS[lift]
+        if i < 0 or i + width > len(self.terms):
+            raise IndexError(f"{lift} lift at {n} reads past the window")
+        w = self.terms[i : i + width]
+        if lift == "hybrid-quaternion":
+            return [w[s + t] for s in range(4) for t in range(4)]
+        return w
+
+    def term(self, n: int) -> Fraction:
+        return self.coeffs("scalar", n)[0]
+
+    def hybrid(self, n: int) -> Hybrid:
+        return Hybrid(*self.coeffs("hybrid", n))
+
+    def quaternion(self, n: int) -> Quaternion:
+        return Quaternion(*self.coeffs("quaternion", n))
+
+    def hybrid_quaternion(self, n: int) -> HybridQuaternion:
+        return HybridQuaternion(tuple(self.coeffs("hybrid-quaternion", n)))
+
+
 def lift_hybrid(seq, n: int) -> Hybrid:
-    return Hybrid(*window(seq, n, n + 3))
+    return Window(seq, n, n + 3).hybrid(n)
 
 
 def lift_quaternion(seq, n: int) -> Quaternion:
-    return Quaternion(*window(seq, n, n + 3))
+    return Window(seq, n, n + 3).quaternion(n)
 
 
 def lift_hybrid_quaternion(seq, n: int) -> HybridQuaternion:
-    w = window(seq, n, n + 6)
-    return HybridQuaternion(tuple(w[s + t] for s in range(4) for t in range(4)))
+    return Window(seq, n, n + 6).hybrid_quaternion(n)
 
 
 @dataclass(frozen=True)
 class BinetData:
+    """The closed-form constants of one parameter set, and the evaluator
+    that uses them.
+
+    Build it once (``binet_data``) and evaluate at as many indices as
+    needed; the two 16-dimensional root products are formed on first use
+    and kept with the instance, never beyond it.
+    """
+
     alpha: QuadExt
     beta: QuadExt
     A: QuadExt
@@ -152,6 +200,28 @@ class BinetData:
     beta_star: Hybrid
     alpha_under: Quaternion
     beta_under: Quaternion
+
+    @cached_property
+    def hats(self) -> tuple:
+        """alpha_star*alpha_under and beta_star*beta_under as hybrid quaternions."""
+        embed_h, embed_q = HybridQuaternion.from_hybrid, HybridQuaternion.from_quaternion
+        return (
+            embed_h(self.alpha_star) * embed_q(self.alpha_under),
+            embed_h(self.beta_star) * embed_q(self.beta_under),
+        )
+
+    def scalar(self, n: int) -> QuadExt:
+        return self.A * self.alpha ** n + self.B * self.beta ** n
+
+    def hybrid(self, n: int) -> Hybrid:
+        return self.A * self.alpha ** n * self.alpha_star + self.B * self.beta ** n * self.beta_star
+
+    def quaternion(self, n: int) -> Quaternion:
+        return self.A * self.alpha ** n * self.alpha_under + self.B * self.beta ** n * self.beta_under
+
+    def hybrid_quaternion(self, n: int) -> HybridQuaternion:
+        x, y = self.hats
+        return self.A * self.alpha ** n * x + self.B * self.beta ** n * y
 
 
 def binet_data(seq) -> BinetData:
@@ -173,30 +243,16 @@ def binet_data(seq) -> BinetData:
 
 
 def binet_scalar(seq, n: int) -> QuadExt:
-    data = binet_data(seq)
-    return data.A * data.alpha ** n + data.B * data.beta ** n
+    return binet_data(seq).scalar(n)
 
 
 def binet_hybrid(seq, n: int) -> Hybrid:
-    data = binet_data(seq)
-    return (data.A * data.alpha ** n) * data.alpha_star + (
-        data.B * data.beta ** n
-    ) * data.beta_star
+    return binet_data(seq).hybrid(n)
 
 
 def binet_quaternion(seq, n: int) -> Quaternion:
-    data = binet_data(seq)
-    return (data.A * data.alpha ** n) * data.alpha_under + (
-        data.B * data.beta ** n
-    ) * data.beta_under
+    return binet_data(seq).quaternion(n)
 
 
 def binet_hybrid_quaternion(seq, n: int) -> HybridQuaternion:
-    data = binet_data(seq)
-    x = HybridQuaternion.from_hybrid(data.alpha_star) * HybridQuaternion.from_quaternion(
-        data.alpha_under
-    )
-    y = HybridQuaternion.from_hybrid(data.beta_star) * HybridQuaternion.from_quaternion(
-        data.beta_under
-    )
-    return (data.A * data.alpha ** n) * x + (data.B * data.beta ** n) * y
+    return binet_data(seq).hybrid_quaternion(n)

@@ -9,6 +9,8 @@ import json
 
 import pytest
 
+import hybridquat.audit
+import hybridquat.sequences
 from hybridquat.audit import (
     AUDIT_SEQUENCES,
     CATALOG,
@@ -22,7 +24,7 @@ from hybridquat.audit import (
     check_lucas_relations,
     reports_to_json,
 )
-from hybridquat.sequences import FIBONACCI, JACOBSTHAL, MERSENNE, horadam
+from hybridquat.sequences import FIBONACCI, JACOBSTHAL, LUCAS, MERSENNE, horadam
 
 SPAN = (-10, 30)
 
@@ -195,15 +197,52 @@ def test_sequence_labels_in_reports(full_audit):
 
 
 def test_catalog_covers_every_identity(full_audit):
+    # each runner returns exactly audit_all's reports for its id, witnesses
+    # included; at (1, 10) the Cassini witnesses sit at an odd index, so
+    # their sign flips
     assert len(CATALOG) == 16
-    from_catalog = []
-    for key, run in CATALOG.items():
-        reports = run(SPAN)
-        assert reports, key
-        for r in reports:
-            assert r.identity_id == key
-        from_catalog.extend(reports)
-    assert {r.identity_id for r in from_catalog} == {r.identity_id for r in full_audit}
+    for span, everything in ((SPAN, full_audit), ((1, 10), audit_all((1, 10)))):
+        from_catalog = []
+        for key, run in CATALOG.items():
+            reports = run(span)
+            assert reports, key
+            assert reports == [r for r in everything if r.identity_id == key], (key, span)
+            from_catalog.extend(reports)
+        assert from_catalog == everything
+
+
+def _count_calls(monkeypatch, module, name, log):
+    real = getattr(module, name)
+
+    def counted(seq, *args):
+        log.append(seq)
+        return real(seq, *args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_one_window_per_sequence_and_one_binet_build_per_call(monkeypatch):
+    windows, builds = [], []
+    _count_calls(monkeypatch, hybridquat.sequences, "window", windows)
+    for module in (hybridquat.sequences, hybridquat.audit):
+        _count_calls(monkeypatch, module, "binet_data", builds)
+
+    families = [
+        (check_fibonacci_relations, [FIBONACCI, LUCAS]),
+        (check_lucas_relations, [FIBONACCI, LUCAS]),
+        (check_conjugate_relations, [FIBONACCI]),
+        (check_cassini, [FIBONACCI, LUCAS]),
+    ]
+    for check, sequences in families:
+        windows.clear()
+        check(SPAN)
+        assert sorted(windows, key=str) == sorted(sequences, key=str), check.__name__
+
+    windows.clear()
+    builds.clear()
+    assert check_binet(FIBONACCI, SPAN).status == "VERIFIED"
+    assert windows == [FIBONACCI]
+    assert builds == [FIBONACCI]
 
 
 def test_default_span():

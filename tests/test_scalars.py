@@ -199,6 +199,17 @@ def test_equality_against_rationals():
     assert hash(QuadExt(3, 0, 5)) == hash(Fraction(3))
 
 
+def test_surd_free_values_equal_across_discriminants():
+    # equal hashes already say these are one value; equality must agree
+    assert QuadExt(1, 0, 5) == QuadExt(1, 0, 2)
+    assert QuadExt(Fraction(-3, 4), 0, -1) == QuadExt(Fraction(-3, 4), 0, 7)
+    assert len({QuadExt(1, 0, 5), QuadExt(1, 0, 2), Fraction(1)}) == 1
+    assert QuadExt(1, 0, 5) != QuadExt(2, 0, 2)
+    assert QuadExt(1, 1, 5) != QuadExt(1, 0, 2)
+    assert QuadExt(1, 0, 5) != QuadExt(1, 1, 2)
+    assert QuadExt(0, 1, 5) != QuadExt(0, 1, 2)
+
+
 @hypothesis.given(quadexts(disc=5), quadexts(disc=5), quadexts(disc=5))
 def test_field_laws(x, y, z):
     # (x + y) + z = x + (y + z)

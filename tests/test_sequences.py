@@ -27,6 +27,7 @@ from hybridquat.sequences import (
     REGISTRY,
     HoradamParams,
     SequenceId,
+    Window,
     binet_data,
     binet_hybrid,
     binet_hybrid_quaternion,
@@ -173,6 +174,21 @@ def test_lift_recurrence_linearity(n):
     assert lift_hybrid(FIBONACCI, n) + lift_hybrid(FIBONACCI, n + 1) == lift_hybrid(
         FIBONACCI, n + 2
     )
+
+
+def test_window_lifts_are_slices_and_stay_inside():
+    w = Window(LUCAS, -3, 9)
+    for n in range(-3, 3):
+        assert w.term(n) == horadam(LUCAS, n)
+        assert w.hybrid(n) == Hybrid(*(horadam(LUCAS, n + k) for k in range(4)))
+        assert w.quaternion(n) == Quaternion(*(horadam(LUCAS, n + k) for k in range(4)))
+        assert w.hybrid_quaternion(n).as_quaternion_basis() == tuple(
+            w.hybrid(n + s) for s in range(4)
+        )
+    # a lift that would read w_10 or w_-4 is refused, not truncated
+    for lift, n in (("hybrid-quaternion", 4), ("hybrid", 7), ("scalar", 10), ("scalar", -4)):
+        with pytest.raises(IndexError):
+            w.coeffs(lift, n)
 
 
 # -- Binet data -----------------------------------------------------------
