@@ -1,9 +1,11 @@
 """Horadam sequences, their named instances, lifts, and exact Binet forms.
 
-A Horadam sequence w_n(w0, w1; p, q) obeys w_n = p*w_{n-1} - q*w_{n-2}.
-Negative indices are reached by solving the recurrence backwards, which
-needs q != 0.  Lifts place windows of consecutive terms on the hybrid,
-quaternion and hybrid-quaternion bases:
+A Horadam sequence w_n(w0, w1; p, q) obeys w_n = p*w_{n-1} - q*w_{n-2},
+that is (w_n, w_{n+1}) = [[0, 1], [-q, p]] (w_{n-1}, w_n).  A window
+w_lo .. w_hi jumps to its start with a power of that step matrix (of its
+inverse for lo < 0, which needs q != 0) and walks forward from there.
+Lifts place windows of consecutive terms on the hybrid, quaternion and
+hybrid-quaternion bases:
 
     breve(w)_n = w_n + w_{n+1}*hi + w_{n+2}*eps + w_{n+3}*hh
     tilde(w)_n = w_n + w_{n+1}*i  + w_{n+2}*j   + w_{n+3}*k
@@ -105,8 +107,27 @@ def _params(seq) -> HoradamParams:
     return seq.params if isinstance(seq, SequenceId) else seq
 
 
+def _jump(params: HoradamParams, n: int) -> tuple:
+    """(w_n, w_{n+1}) from (w_0, w_1): the step matrix [[0, 1], [-q, p]],
+    or for n < 0 its inverse [[p/q, -1/q], [1, 0]], raised to the power
+    |n| by repeated squaring and applied to (w_0, w_1)."""
+    p, q = params.p, params.q
+    step = ((0, 1), (-q, p)) if n >= 0 else ((p / q, -1 / q), (1, 0))
+    a, b = params.w0, params.w1
+    k = abs(n)
+    while k:
+        (s, t), (u, v) = step
+        if k & 1:
+            a, b = s * a + t * b, u * a + v * b
+        k >>= 1
+        if k:
+            step = ((s * s + t * u, s * t + t * v), (u * s + v * u, u * t + v * v))
+    return a, b
+
+
 def window(seq, lo: int, hi: int) -> list:
-    """Exact values w_lo .. w_hi computed in one pass over the range."""
+    """Exact values w_lo .. w_hi: jump to (w_lo, w_{lo+1}) in O(log |lo|)
+    matrix squarings, then walk forward, keeping only the window's terms."""
     params = _params(seq)
     if lo > hi:
         raise ValueError("empty index window")
@@ -114,16 +135,10 @@ def window(seq, lo: int, hi: int) -> list:
         raise NegativeIndexWithZeroQ(
             f"{params.label()} cannot run backwards: q = 0"
         )
-    values = {0: params.w0, 1: params.w1}
-    a, b = params.w0, params.w1
-    for k in range(2, hi + 1):
-        a, b = b, params.p * b - params.q * a
-        values[k] = b
-    a, b = params.w0, params.w1
-    for k in range(-1, lo - 1, -1):
-        a, b = (params.p * a - b) / params.q, a
-        values[k] = a
-    return [values[k] for k in range(lo, hi + 1)]
+    terms = list(_jump(params, lo))
+    while len(terms) <= hi - lo:
+        terms.append(params.p * terms[-1] - params.q * terms[-2])
+    return terms[: hi - lo + 1]
 
 
 def horadam(seq, n: int) -> Fraction:
@@ -135,7 +150,7 @@ LIFT_TERMS = {"scalar": 1, "hybrid": 4, "quaternion": 4, "hybrid-quaternion": 7}
 
 
 class Window:
-    """Terms w_lo .. w_hi of one sequence from a single recurrence pass.
+    """Terms w_lo .. w_hi of one sequence from a single ``window`` call.
 
     A lift at any n whose terms fall inside the window is read off as a
     slice, laid out on the basis as in the module docstring.

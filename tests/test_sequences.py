@@ -1,5 +1,6 @@
 """Sequence engine: recurrence windows, lifts, Binet forms over Q(sqrt(D))."""
 
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis
@@ -126,15 +127,52 @@ def test_accepts_params_or_sequence_id():
     assert horadam(FIBONACCI, 10) == horadam(FIBONACCI.params, 10) == 55
 
 
-@hypothesis.given(
-    st.integers(min_value=-8, max_value=8),
-    st.integers(min_value=-8, max_value=8).filter(bool),
-    st.integers(min_value=-10, max_value=10),
+# sequences whose windows take other paths through the jump: q = +-2 makes
+# the negative terms proper fractions, p = 1/2 makes every term a fraction,
+# and q = 0 has no inverse step, so only its lo >= 0 windows exist
+SPECIAL_SEQUENCES = (
+    MERSENNE,
+    JACOBSTHAL,
+    generalized_fibonacci(Fraction(1, 2), -1),
+    SequenceId("Constant", HoradamParams(0, 1, 1, 0)),
 )
-def test_recurrence_holds_everywhere(p, q, n):
-    params = HoradamParams(0, 1, p, q)
+
+
+@hypothesis.given(
+    st.one_of(
+        st.builds(
+            lambda p, q: SequenceId("Integer", HoradamParams(0, 1, p, q)),
+            st.integers(min_value=-8, max_value=8),
+            st.integers(min_value=-8, max_value=8).filter(bool),
+        ),
+        st.sampled_from(SPECIAL_SEQUENCES),
+    ),
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=0, max_value=20),
+)
+def test_recurrence_holds_everywhere(seq, n, k):
+    p, q = seq.params.p, seq.params.q
+    hypothesis.assume(q or n - k >= 0)
     # w_{n+2} = p*w_{n+1} - q*w_n across the whole signed index range
-    assert horadam(params, n + 2) == p * horadam(params, n + 1) - q * horadam(params, n)
+    assert horadam(seq, n + 2) == p * horadam(seq, n + 1) - q * horadam(seq, n)
+    # a window is the tail of every longer window that ends where it ends,
+    # whether that one starts on the other side of 0 or not
+    terms = window(seq, n, n + 6)
+    assert window(seq, n - k, n + 6)[k:] == terms
+    assert all(type(t) is Fraction for t in terms)
+
+
+def test_point_window_keeps_only_its_terms():
+    # seven terms near F(20000) are ~20 kB; a window that also kept the
+    # ~20,000 terms below lo would peak at ~21 MB
+    tracemalloc.start()
+    try:
+        terms = window(FIBONACCI, 20000, 20006)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(terms) == 7
+    assert peak < 1_000_000
 
 
 def test_empty_window_rejected():
@@ -241,13 +279,13 @@ def test_binet_hybrid_golden():
 
 @pytest.mark.parametrize("seq", IRRATIONAL_ROOT_SEQUENCES, ids=lambda s: s.name)
 def test_binet_matches_recurrence(seq):
-    for n in range(-10, 41):
+    for n in (*range(-10, 41), -5000, 5000):
         assert binet_scalar(seq, n) == horadam(seq, n)
 
 
 @pytest.mark.parametrize("seq", IRRATIONAL_ROOT_SEQUENCES, ids=lambda s: s.name)
 def test_binet_lifts_match_recurrence_lifts(seq):
-    for n in (-10, -3, -1, 0, 1, 2, 7, 25, 40):
+    for n in (-5000, -10, -3, -1, 0, 1, 2, 7, 25, 40, 5000):
         assert binet_hybrid(seq, n) == lift_hybrid(seq, n)
         assert binet_quaternion(seq, n) == lift_quaternion(seq, n)
         hat = binet_hybrid_quaternion(seq, n)
