@@ -1,12 +1,22 @@
 """Mechanical identity audit over exact arithmetic.
 
-Every identity is checked index by index across an inclusive span of
-integers.  Left-hand sides are always built from recurrence lifts (plain
-rationals); right-hand sides follow the claimed closed forms, over
-Q(sqrt(D)) where they call for roots.  The two pipelines never share
-code paths, so an agreement is genuine confirmation and a disagreement
-produces an exact witness: the smallest failing index together with
-both values and their difference in the canonical 16-term rendering.
+Every identity is checked over an inclusive span of integers.  Left-hand
+sides are always built from recurrence lifts (plain rationals);
+right-hand sides follow the claimed closed forms, over Q(sqrt(D)) where
+they call for roots.  The two pipelines never share code paths, so an
+agreement is genuine confirmation and a disagreement produces an exact
+witness: the smallest failing index together with both values and their
+difference in the canonical 16-term rendering.
+
+Each catalog id declares an order bound r: coefficient by coefficient,
+both sides of each of its checks satisfy one linear recurrence of order
+at most r with constant coefficients (they are C-finite in n).  So does
+their difference, and such a sequence that vanishes at r consecutive
+indices vanishes at every later one (Zeilberger, "The C-finite Ansatz",
+Ramanujan J. 31, 2013; Kauers & Paule, The Concrete Tetrahedron, 2011,
+ch. 4).  The scan therefore evaluates only the first r indices of the
+span: agreement there certifies the whole span, and a disagreement there
+is already the smallest failing index.
 
 A claim whose right-hand side cannot even be evaluated (rational roots
 where a surd is required, or two incompatible surds in one expression)
@@ -21,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import MixedDiscriminant, RationalRoots, RepeatedRoot
 from .hybrid_quaternion import HybridQuaternion
-from .scalars import QuadExt
+from .scalars import QuadExt, unlimited_digits
 from .sequences import (
     FERMAT,
     FIBONACCI,
@@ -117,26 +127,24 @@ def _sign(n: int) -> int:
     return 1 if n % 2 == 0 else -1
 
 
-def _scan(identity_id, sequence, span, values_fn) -> IdentityReport:
-    """Evaluate values_fn at every index; adjacent values must agree.
+def _scan(identity_id, sequence, span, values_fn, order) -> IdentityReport:
+    """Evaluate values_fn at the first `order` indices of the span.
 
     values_fn(n) returns two or more HybridQuaternion values forming a
-    claimed chain of equalities (lhs = rhs1 = rhs2 ...).  The first
-    failing adjacent pair at the smallest failing n is the witness.
+    claimed chain of equalities (lhs = rhs1 = rhs2 ...), each side
+    C-finite of order at most `order`, so agreement at those indices
+    holds on the whole span.  The first failing adjacent pair at the
+    smallest failing n is the witness.
     """
     lo, hi = span
-    for n in range(lo, hi + 1):
+    for n in range(lo, min(hi, lo + order - 1) + 1):
         values = values_fn(n)
         for left, right in zip(values, values[1:]):
             if left != right:
+                with unlimited_digits():
+                    failure = FirstFailure(n, str(left), str(right), str(left - right))
                 return IdentityReport(
-                    identity_id,
-                    sequence,
-                    (lo, hi),
-                    REFUTED,
-                    first_failure=FirstFailure(
-                        n, str(left), str(right), str(left - right)
-                    ),
+                    identity_id, sequence, (lo, hi), REFUTED, first_failure=failure
                 )
     return IdentityReport(identity_id, sequence, (lo, hi), VERIFIED)
 
@@ -145,13 +153,15 @@ class _Scans:
     """State of one audit call over one span.
 
     Recurrence windows (one per sequence, covering every lift the
-    identities read: w_{lo-2} up to hat(w)_{hi+6}) and closed-form
-    constants are built on first use and shared by the identities of
-    this call only; nothing outlives it.
+    identities read at the indices a scan evaluates: w_{lo-2} up to
+    hat(w)_{last+6}, where last is the span's R-th index, R the largest
+    declared order) and closed-form constants are built on first use and
+    shared by the identities of this call only; nothing outlives it.
     """
 
     def __init__(self, span):
-        self.span = _validate_span(span)
+        self.span = lo, hi = _validate_span(span)
+        self.last = min(hi, lo + max(ident.order for ident in CATALOG.values()) - 1)
         self._built = {}
 
     def once(self, build, *args):
@@ -162,10 +172,9 @@ class _Scans:
         return self._built[key]
 
     def lifts(self, seq) -> Window:
-        lo, hi = self.span
-        return self.once(Window, seq, lo - 2, hi + 12)
+        return self.once(Window, seq, self.span[0] - 2, self.last + 12)
 
-    def report(self, identity_id, sequence, prepare) -> IdentityReport:
+    def report(self, identity_id, sequence, prepare, order) -> IdentityReport:
         """prepare(self) builds the right-hand side's constants and returns
         values(n); a closed form that cannot be built is UNEVALUABLE."""
         try:
@@ -174,7 +183,7 @@ class _Scans:
             return IdentityReport(
                 identity_id, sequence, self.span, UNEVALUABLE, error=type(exc).__name__
             )
-        return _scan(identity_id, sequence, self.span, values_fn)
+        return _scan(identity_id, sequence, self.span, values_fn, order)
 
 
 def _breve(w: Window, n: int) -> HybridQuaternion:
@@ -352,41 +361,55 @@ def _cassini_lucas(p, q):
 
 
 class _Identity:
-    """One catalog id and the (sequence, prepare) checks reported under it.
+    """One catalog id, the order bound of its checks, and the (sequence,
+    prepare) checks reported under it.
 
     Calling it with a span runs only these checks: ``CATALOG[id](span)``.
     """
 
-    def __init__(self, identity_id, *checks):
+    def __init__(self, identity_id, order, *checks):
         self.identity_id = identity_id
+        self.order = order
         self.checks = checks
 
     def __call__(self, span) -> list:
         return self.reports(_Scans(span))
 
     def reports(self, scans) -> list:
-        return [scans.report(self.identity_id, seq, prepare) for seq, prepare in self.checks]
+        return [
+            scans.report(self.identity_id, seq, prepare, self.order)
+            for seq, prepare in self.checks
+        ]
 
+
+# Both sides of a linear id are linear in the w_{n+k} and in alpha^n,
+# beta^n, so they lie in span{alpha^n, beta^n} of the sequence's own
+# x^2 - px + q: order 2.
+_LINEAR = 2
+# A Cassini left coefficient sums products w_{n+a} w_{n+b}, in
+# span{alpha^2n, (alpha beta)^n, beta^2n}; the right side is (-1)^n times a
+# constant, and (alpha beta)^n = q^n = (-1)^n: order 3.
+_CASSINI = 3
 
 CATALOG = {
     ident.identity_id: ident
     for ident in (
-        _Identity("Thm2.1", *((seq, _binet(seq)) for seq in AUDIT_SEQUENCES)),
-        _Identity("Thm3.1.i", (FIBONACCI, _sum_recurrence)),
-        _Identity("Thm3.1.ii", (FIBONACCI, _quaternion_combination)),
-        _Identity("Thm3.1.iii", (FIBONACCI, _hybrid_combination)),
-        _Identity("Thm3.2.i", (FIBONACCI, _lucas_sum)),
-        _Identity("Thm3.2.ii", (FIBONACCI, _lucas_difference)),
-        _Identity("Thm3.3.i", (FIBONACCI, _quaternion_conjugate)),
-        _Identity("Thm3.3.ii", (FIBONACCI, _hybrid_conjugate)),
-        _Identity("Thm3.3.iii-hat", (FIBONACCI, _total_conjugate_hat)),
-        _Identity("Thm3.3.iii-breve", (FIBONACCI, _total_conjugate_breve)),
-        _Identity("Thm3.4.i", (FIBONACCI, _literal_binet_fibonacci)),
-        _Identity("Thm3.4.ii", (LUCAS, _literal_binet_lucas)),
-        _Identity("C1@x^2-x-1", (FIBONACCI, _cassini_fibonacci(1, -1))),
-        _Identity("C2@x^2-x-1", (LUCAS, _cassini_lucas(1, -1))),
-        _Identity("C1@x^2-2x-1", (FIBONACCI, _cassini_fibonacci(2, -1))),
-        _Identity("C2@x^2-2x-1", (LUCAS, _cassini_lucas(2, -1))),
+        _Identity("Thm2.1", _LINEAR, *((seq, _binet(seq)) for seq in AUDIT_SEQUENCES)),
+        _Identity("Thm3.1.i", _LINEAR, (FIBONACCI, _sum_recurrence)),
+        _Identity("Thm3.1.ii", _LINEAR, (FIBONACCI, _quaternion_combination)),
+        _Identity("Thm3.1.iii", _LINEAR, (FIBONACCI, _hybrid_combination)),
+        _Identity("Thm3.2.i", _LINEAR, (FIBONACCI, _lucas_sum)),
+        _Identity("Thm3.2.ii", _LINEAR, (FIBONACCI, _lucas_difference)),
+        _Identity("Thm3.3.i", _LINEAR, (FIBONACCI, _quaternion_conjugate)),
+        _Identity("Thm3.3.ii", _LINEAR, (FIBONACCI, _hybrid_conjugate)),
+        _Identity("Thm3.3.iii-hat", _LINEAR, (FIBONACCI, _total_conjugate_hat)),
+        _Identity("Thm3.3.iii-breve", _LINEAR, (FIBONACCI, _total_conjugate_breve)),
+        _Identity("Thm3.4.i", _LINEAR, (FIBONACCI, _literal_binet_fibonacci)),
+        _Identity("Thm3.4.ii", _LINEAR, (LUCAS, _literal_binet_lucas)),
+        _Identity("C1@x^2-x-1", _CASSINI, (FIBONACCI, _cassini_fibonacci(1, -1))),
+        _Identity("C2@x^2-x-1", _CASSINI, (LUCAS, _cassini_lucas(1, -1))),
+        _Identity("C1@x^2-2x-1", _CASSINI, (FIBONACCI, _cassini_fibonacci(2, -1))),
+        _Identity("C2@x^2-2x-1", _CASSINI, (LUCAS, _cassini_lucas(2, -1))),
     )
 }
 
@@ -402,7 +425,7 @@ def _run(identity_ids, span) -> list:
 
 def check_binet(seq, span=DEFAULT_SPAN) -> IdentityReport:
     """Recurrence lift against the Q(sqrt(D)) closed form, coefficientwise."""
-    return _Scans(span).report("Thm2.1", seq, _binet(seq))
+    return _Scans(span).report("Thm2.1", seq, _binet(seq), CATALOG["Thm2.1"].order)
 
 
 def check_fibonacci_relations(span=DEFAULT_SPAN) -> list:

@@ -25,7 +25,7 @@ from typing import IO, Sequence
 from .audit import CATALOG, DEFAULT_SPAN, REFUTED, audit_all, reports_to_json
 from .errors import HybridQuatError, RationalRoots
 from .hybrid_quaternion import COLUMN_NAMES, HybridQuaternion
-from .scalars import QuadExt, parse_scalar
+from .scalars import QuadExt, parse_scalar, unlimited_digits
 from .sequences import LIFT_TERMS, REGISTRY, BinetData, HoradamParams, Window, binet_data
 
 LIFTS = ("scalar", "hybrid", "quaternion", "hybrid-quaternion")
@@ -252,6 +252,12 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # exact values of any size are parsed and printed in full
+    with unlimited_digits():
+        return _main(argv)
+
+
+def _main(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

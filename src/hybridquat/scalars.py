@@ -14,6 +14,8 @@ touches floating point.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import isqrt
 
@@ -33,6 +35,26 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+@contextmanager
+def unlimited_digits():
+    """Lift CPython's limit on int <-> str conversion inside the block.
+
+    Exact values routinely pass the default 4300 digits (F_25000 has
+    5225), so rendering them needs the limit off; the interpreter's own
+    setting is restored on exit.  Pythons before 3.10.7 have no limit.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    saved = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def is_perfect_square(n: int) -> bool:
@@ -91,8 +113,14 @@ class QuadExt:
     # -- ring structure -------------------------------------------------
 
     def _lift(self, other) -> "QuadExt | None":
+        # the result of an operation lives in the lifted operand's field:
+        # self's, unless self is a surd-free value of another field
         if isinstance(other, QuadExt):
             if other.discriminant != self.discriminant:
+                if not other.surd_part:
+                    return QuadExt(other.rat_part, 0, self.discriminant)
+                if not self.surd_part:
+                    return other
                 raise MixedDiscriminant(
                     f"sqrt({self.discriminant}) and sqrt({other.discriminant}) "
                     "do not live in a common quadratic field"
@@ -107,7 +135,7 @@ class QuadExt:
         if o is None:
             return NotImplemented
         return QuadExt(
-            self.rat_part + o.rat_part, self.surd_part + o.surd_part, self.discriminant
+            self.rat_part + o.rat_part, self.surd_part + o.surd_part, o.discriminant
         )
 
     __radd__ = __add__
@@ -117,7 +145,7 @@ class QuadExt:
         if o is None:
             return NotImplemented
         return QuadExt(
-            self.rat_part - o.rat_part, self.surd_part - o.surd_part, self.discriminant
+            self.rat_part - o.rat_part, self.surd_part - o.surd_part, o.discriminant
         )
 
     def __rsub__(self, other):
@@ -133,8 +161,8 @@ class QuadExt:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        a, b, d = self.rat_part, self.surd_part, self.discriminant
-        c, e = o.rat_part, o.surd_part
+        a, b = self.rat_part, self.surd_part
+        c, e, d = o.rat_part, o.surd_part, o.discriminant
         return QuadExt(a * c + b * e * d, a * e + c * b, d)
 
     __rmul__ = __mul__
@@ -255,9 +283,10 @@ def quad_inv(x: QuadExt) -> QuadExt:
 def common_discriminant(values) -> int | None:
     """The single discriminant used by the QuadExt entries of `values`.
 
-    Returns None when no entry is a QuadExt.  Raises MixedDiscriminant as
-    soon as two different extensions appear in one container; mixing rings
-    is a construction error, not a coercion.
+    Returns None when no entry is a QuadExt.  Surd-free entries are
+    rationals and fit any field.  Raises MixedDiscriminant when two entries
+    carry surds of different discriminants; mixing rings is a construction
+    error, not a coercion.
     """
     disc: int | None = None
     for v in values:
@@ -265,9 +294,16 @@ def common_discriminant(values) -> int | None:
             if disc is None:
                 disc = v.discriminant
             elif v.discriminant != disc:
-                raise MixedDiscriminant(
-                    f"coefficients mix sqrt({disc}) with sqrt({v.discriminant})"
+                fields = list(
+                    dict.fromkeys(
+                        w.discriminant for w in values if isinstance(w, QuadExt) and w.surd_part
+                    )
                 )
+                if len(fields) > 1:
+                    raise MixedDiscriminant(
+                        f"coefficients mix sqrt({fields[0]}) with sqrt({fields[1]})"
+                    )
+                return fields[0] if fields else disc
     return disc
 
 

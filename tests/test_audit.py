@@ -7,6 +7,8 @@ auditor must reproduce them exactly.
 
 import json
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
 import hybridquat.audit
@@ -16,6 +18,7 @@ from hybridquat.audit import (
     CATALOG,
     DEFAULT_SPAN,
     IdentityReport,
+    _Scans,
     audit_all,
     check_binet,
     check_cassini,
@@ -24,6 +27,7 @@ from hybridquat.audit import (
     check_lucas_relations,
     reports_to_json,
 )
+from hybridquat.errors import MixedDiscriminant, RationalRoots, RepeatedRoot
 from hybridquat.sequences import FIBONACCI, JACOBSTHAL, LUCAS, MERSENNE, horadam
 
 SPAN = (-10, 30)
@@ -128,6 +132,14 @@ def test_refuted_first_failure_is_span_start(full_audit):
     for report in full_audit:
         if report.status == "REFUTED":
             assert report.first_failure.n == SPAN[0], report.identity_id
+
+
+def test_witness_past_the_int_digit_limit():
+    # hat(F)_100000 has 20899-digit coefficients, past CPython's default
+    # 4300-digit str conversion limit
+    report = check_fibonacci_relations((100000, 100001))[2]
+    assert report.first_failure.n == 100000
+    assert len(report.first_failure.lhs) > 20000
 
 
 def test_cassini_c2_witness_sign_alternates():
@@ -243,6 +255,97 @@ def test_one_window_per_sequence_and_one_binet_build_per_call(monkeypatch):
     assert check_binet(FIBONACCI, SPAN).status == "VERIFIED"
     assert windows == [FIBONACCI]
     assert builds == [FIBONACCI]
+
+
+# -- the order certificate ------------------------------------------------------
+
+ORDERS = {key: ident.order for key, ident in CATALOG.items()}
+
+
+def _full_scan(mp):
+    """Make every scan (and its windows) run across the whole span."""
+    for ident in CATALOG.values():
+        mp.setattr(ident, "order", 10**9)
+
+
+def _rank(rows) -> int:
+    """Rank of a matrix over Fraction/QuadExt by exact Gaussian elimination."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        head = rows[rank]
+        for row in rows[rank + 1 :]:
+            if row[col]:
+                factor = row[col] / head[col]
+                row[:] = [a - factor * b for a, b in zip(row, head)]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("key", list(CATALOG))
+def test_declared_order_bounds_every_side(key, monkeypatch):
+    """The premise of the certificate: for each check of the id, the 16
+    coefficient sequences of all its sides satisfy one common linear
+    recurrence of order at most the declared r, i.e. the rows
+    (s_n, ..., s_{n+r}) over n = lo .. lo + r + 1 have rank at most r.
+
+    Lowering any linear id's r to 1 makes this fail: no common ratio
+    serves all coefficients.  The Cassini sides pass even at r = 1, because
+    their alpha^2n and beta^2n parts cancel; 3 is the bound the argument
+    gives without relying on that cancellation.
+    """
+    r = ORDERS[key]
+    lo = DEFAULT_SPAN[0]
+    _full_scan(monkeypatch)
+    scans = _Scans((lo, lo + 2 * r + 1))
+    checked = 0
+    for _, prepare in CATALOG[key].checks:
+        try:
+            values = prepare(scans)
+        except (RationalRoots, RepeatedRoot, MixedDiscriminant):
+            continue  # UNEVALUABLE: there is nothing to certify
+        sides = list(zip(*(values(n) for n in range(lo, lo + 2 * r + 2))))
+        rows = [
+            [side[n + k].coeffs[c] for k in range(r + 1)]
+            for side in sides
+            for c in range(16)
+            for n in range(r + 2)
+        ]
+        assert _rank(rows) <= r, key
+        checked += 1
+    assert checked or key == "C2@x^2-2x-1"
+
+
+@hypothesis.settings(deadline=None, max_examples=15)
+@hypothesis.given(st.integers(-40, 40), st.integers(0, 12))
+def test_certified_reports_equal_a_full_scan(lo, length):
+    span = (lo, lo + length)
+    certified = audit_all(span)
+    with pytest.MonkeyPatch.context() as mp:
+        _full_scan(mp)
+        assert audit_all(span) == certified
+
+
+def test_audit_cost_does_not_grow_with_the_span(monkeypatch, full_audit):
+    longest = max(ORDERS.values()) + 14
+    real = hybridquat.sequences.window
+
+    def bounded(seq, lo, hi):
+        if hi - lo + 1 > longest:
+            raise AssertionError(f"window of {hi - lo + 1} terms for {seq}")
+        return real(seq, lo, hi)
+
+    monkeypatch.setattr(hybridquat.sequences, "window", bounded)
+    span = (-(10**4), 10**4)
+    reports = audit_all(span)
+    assert [r.status_label() for r in reports] == [r.status_label() for r in full_audit]
+    for report in reports:
+        if report.status == "REFUTED":
+            assert report.first_failure.n == span[0], report.identity_id
 
 
 def test_default_span():

@@ -7,6 +7,7 @@ runnable as ``python -m hybridquat``.
 
 from __future__ import annotations
 
+import decimal
 import io
 import json
 import subprocess
@@ -205,6 +206,37 @@ def test_audit_unknown_identity(cli):
     code, _, err = cli(["audit", "--identity", "Thm9.9"])
     assert code == 2
     assert "unknown identity" in err
+
+
+def test_values_past_the_int_digit_limit_render_in_full(cli):
+    # F_25000 has 5225 digits, past CPython's default 4300-digit limit
+    a, b = 0, 1
+    for _ in range(25000):
+        a, b = b, a + b
+    code, out, err = cli(["seq", "--sequence", "fibonacci", "--from", "25000", "--to", "25000"])
+    assert (code, err) == (0, "")
+    assert out == f"n,w\n25000,{decimal.Decimal(a)}\n"
+
+    code, out, _ = cli(["audit", "--identity", "Thm3.1.iii", "--from", "100000", "--to", "100001"])
+    assert code == 1
+    (report,) = json.loads(out)
+    assert report["first_failure"]["n"] == 100000
+
+
+def test_main_restores_the_int_digit_limit(cli):
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        pytest.skip("this Python has no int digit limit")
+    before = limit()
+    assert cli(["seq", "--sequence", "fibonacci", "--from", "0", "--to", "1"])[0] == 0
+    assert cli(["audit", "--identity", "nope"])[0] == 2
+    assert limit() == before
+    probe = "import sys; limit = sys.get_int_max_str_digits(); import hybridquat.cli; "
+    probe += "print(sys.get_int_max_str_digits() == limit)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert result.stdout == "True\n", result.stderr
 
 
 def test_mul_identity_element(cli):

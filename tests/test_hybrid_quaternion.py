@@ -183,6 +183,10 @@ def test_surd_free_quadext_equals_rational():
     same = HybridQuaternion(tuple(QuadExt(c, 0, 5) for c in x.coeffs))
     assert x == same and same == x
     assert hash(x) == hash(same)
+    # surd-free coefficients are rationals, so they mix with sqrt(2) values
+    root2 = HybridQuaternion.from_scalar(QuadExt(0, 1, 2))
+    assert same * root2 == x * root2 and root2 * same == root2 * x
+    assert same + root2 == x + root2
 
 
 # -- decompositions --------------------------------------------------------

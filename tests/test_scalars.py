@@ -210,6 +210,24 @@ def test_surd_free_values_equal_across_discriminants():
     assert QuadExt(0, 1, 5) != QuadExt(0, 1, 2)
 
 
+@hypothesis.given(rationals, quadexts(disc=2))
+def test_surd_free_values_mix_across_discriminants(r, y):
+    # a surd-free value is a rational: it combines with any field, and the
+    # result lives in the field of the operand that carries a surd
+    x = QuadExt(r, 0, 5)
+    assert x + y == r + y and y + x == y + r
+    assert x - y == r - y and y - x == y - r
+    assert x * y == r * y and y * x == y * r
+    for z in (x + y, y - x, x * y):
+        assert z.discriminant == 2 or not z.surd_part
+    if r:
+        assert y / x == y / r
+    if y:
+        assert x / y == r / y
+    assert QuadExt(1, 0, 5) + QuadExt(1, 0, 2) == 2
+    assert QuadExt(1, 0, 5) * QuadExt(0, 1, 2) == QuadExt(0, 1, 2)
+
+
 @hypothesis.given(quadexts(disc=5), quadexts(disc=5), quadexts(disc=5))
 def test_field_laws(x, y, z):
     # (x + y) + z = x + (y + z)
@@ -249,6 +267,12 @@ def test_common_discriminant():
     assert common_discriminant([Fraction(1), QuadExt(0, 1, 5)]) == 5
     with pytest.raises(MixedDiscriminant):
         common_discriminant([QuadExt(0, 1, 5), QuadExt(0, 1, 2)])
+    with pytest.raises(MixedDiscriminant):
+        common_discriminant([QuadExt(1, 0, 3), QuadExt(0, 1, 5), QuadExt(0, 1, 2)])
+    # surd-free entries are rationals and constrain no field
+    assert common_discriminant([QuadExt(1, 0, 5), QuadExt(0, 1, 2)]) == 2
+    assert common_discriminant([QuadExt(0, 1, 2), QuadExt(7, 0, 5)]) == 2
+    assert common_discriminant([QuadExt(1, 0, 5), QuadExt(1, 0, 2)]) in (5, 2)
 
 
 # -- rendering and parsing ------------------------------------------------
