@@ -95,11 +95,9 @@ def _rational(value: Fraction | QuadExt) -> Fraction:
 def _binet_row(data: BinetData, lift: str, n: int) -> list[Fraction]:
     if lift == "scalar":
         return [_rational(data.scalar(n))]
-    if lift == "hybrid":
-        return [_rational(c) for c in data.hybrid(n).components()]
-    if lift == "quaternion":
-        return [_rational(c) for c in data.quaternion(n).components()]
-    return [_rational(c) for c in data.hybrid_quaternion(n).coeffs]
+    # the evaluators of BinetData are named after the lifts
+    value = getattr(data, lift.replace("-", "_"))(n)
+    return [_rational(c) for c in value.components()]
 
 
 def _recurrence_rows(

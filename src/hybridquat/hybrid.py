@@ -9,23 +9,31 @@ hi*hh = -hh*hi = eps + hi, which forces the full unit product table
     hh    -eps - hi   eps        1
 
 The ring is associative but not commutative.  Coefficients live in one
-scalar ring per value (Rational or a single Q(sqrt(D))); rational values
-are held as integer numerators over one denominator (see ``element4``).
+scalar ring per value (Rational or a single Q(sqrt(D))); storage and
+arithmetic are those of ``algebra.Element``, driven by the table above.
 """
 
 from __future__ import annotations
 
-from .element4 import Element4
-from .scalars import QuadExt
+from .algebra import Element, structure
+
+# coordinates of e_i * e_j on (1, hi, eps, hh), row i times column j
+UNIT_PRODUCTS = (
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ((0, 1, 0, 0), (-1, 0, 0, 0), (1, 0, 0, -1), (0, 1, 1, 0)),
+    ((0, 0, 1, 0), (1, 0, 0, 1), (0, 0, 0, 0), (0, 0, -1, 0)),
+    ((0, 0, 0, 1), (0, -1, -1, 0), (0, 0, 1, 0), (1, 0, 0, 0)),
+)
 
 
-class Hybrid(Element4):
+class Hybrid(Element):
     __slots__ = ()
-    _KIND = "hybrid"
     _FIELDS = ("a", "b", "c", "d")
+    _UNITS = ("", "hi", "eps", "hh")
+    _TABLE = structure(UNIT_PRODUCTS)
 
     def __init__(self, a, b, c, d):
-        self._store((a, b, c, d))
+        super().__init__((a, b, c, d))
 
     a = property(lambda self: self._coeff(0), doc="real part")
     b = property(lambda self: self._coeff(1), doc="hi part")
@@ -35,27 +43,8 @@ class Hybrid(Element4):
     def is_scalar(self) -> bool:
         return not any(self._num[1:])
 
-    # -- multiplication ---------------------------------------------------
-
-    @staticmethod
-    def _product(x, y) -> tuple:
-        a, b, c, d = x
-        e, f, g, h = y
-        return (
-            a * e - b * f + b * g + c * f + d * h,
-            a * f + b * e + b * h - d * f,
-            a * g + c * e + b * h - d * f - c * h + d * g,
-            a * h + d * e - b * g + c * f,
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, Hybrid):
-            return self._times(other)
-        return self._scale(other)
-
-    def __rmul__(self, other):
-        # scalars commute with everything, so left scaling equals right scaling
-        return self._scale(other)
+    def conj(self) -> "Hybrid":
+        return self._negated((1, 2, 3))
 
     def character(self):
         """The signed scalar z * conj(z) = a^2 + (b - c)^2 - c^2 - d^2.
@@ -66,60 +55,6 @@ class Hybrid(Element4):
         a, b, c, d = self._num
         bc = b - c
         return self._quadratic(a * a + bc * bc - c * c - d * d)
-
-    def __str__(self):
-        return render_terms(zip(self.components(), ("", "hi", "eps", "hh")))
-
-
-def render_coeff(value, unit: str) -> tuple[str, str]:
-    """Render one term; returns (sign, body) with sign '+' or '-'."""
-    if isinstance(value, QuadExt) and value.surd_part:
-        if value.rat_part:
-            # mixed coefficient keeps parentheses so the term stays one
-            # factor; a bare scalar term needs none
-            sign = "+"
-            body = f"({value})" if unit else str(value)
-        elif value.surd_part < 0:
-            sign = "-"
-            body = str(-value)
-        else:
-            sign = "+"
-            body = str(value)
-    else:
-        rat = value.rat_part if isinstance(value, QuadExt) else value
-        sign = "-" if rat < 0 else "+"
-        body = str(abs(rat))
-    if unit:
-        body = f"{body}*{unit}"
-    return sign, body
-
-
-def render_terms(pairs) -> str:
-    """Join (coefficient, unit) pairs, omitting zero terms."""
-    out: list[str] = []
-    for value, unit in pairs:
-        if not value:
-            continue
-        sign, body = render_coeff(value, unit)
-        if not out:
-            out.append(body if sign == "+" else f"-{body}")
-        else:
-            out.append(f"{sign} {body}")
-    return " ".join(out) if out else "0"
-
-
-def hybrid_mul(x: Hybrid, y: Hybrid) -> Hybrid:
-    if not isinstance(x, Hybrid) or not isinstance(y, Hybrid):
-        raise TypeError("hybrid_mul expects two Hybrid values")
-    return x * y
-
-
-def hybrid_conj(z: Hybrid) -> Hybrid:
-    return z.conj()
-
-
-def hybrid_character(z: Hybrid):
-    return z.character()
 
 
 ONE = Hybrid(1, 0, 0, 0)

@@ -1,29 +1,28 @@
 """The 16-dimensional algebra of hybrid quaternions.
 
-An element is stored as 16 coefficients on the product basis
+An element has 16 coefficients on the product basis
 {1, i, j, k} x {1, hi, eps, hh}, flat index 4*s + t for quaternion unit
 s and hybrid unit t, in the canonical order
 
     (1,1), (1,hi), (1,eps), (1,hh), (i,1), ..., (k,hh).
 
 Quaternion units commute with hybrid units, so the product of two basis
-elements factors as (u_s * u_t) x (v_a * v_b) and the whole
-multiplication is driven by one precomputed 256-entry table of signed
-structure constants.  The two 4-coefficient presentations (four hybrid
-coefficients on the quaternion units, four quaternion coefficients on
-the hybrid units) are views over the same flat storage.
+elements factors as (u_s * u_t) x (v_a * v_b): the 256-entry structure
+table is the tensor product of the two 4-dimensional unit tables, built
+from their integer entries at import, and storage and arithmetic are
+those of ``algebra.Element``.  The two 4-coefficient presentations (four
+hybrid coefficients on the quaternion units, four quaternion
+coefficients on the hybrid units) are views over the same coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .element4 import SCALAR_TYPES
-from .hybrid import EPS, HH, HI, ONE, Hybrid, render_coeff
-from .quaternion import I, J, K, QONE, Quaternion
-from .scalars import common_discriminant, parse_scalar, split_terms
+from .algebra import Element
+from .hybrid import Hybrid
+from .quaternion import Quaternion
+from .scalars import parse_scalar, split_terms
 
 QUAT_UNITS = ("1", "i", "j", "k")
 HYBRID_UNITS = ("1", "hi", "eps", "hh")
@@ -35,64 +34,37 @@ _QIDX = {name: s for s, name in enumerate(QUAT_UNITS)}
 _HIDX = {name: t for t, name in enumerate(HYBRID_UNITS)}
 
 
-def _build_structure():
-    # read both unit tables off the 4-dimensional algebras themselves so
-    # there is exactly one authoritative copy of each multiplication rule
-    quat_units = (QONE, I, J, K)
-    hybrid_units = (ONE, HI, EPS, HH)
-    quat_table = [
-        [(p * q).components() for q in quat_units] for p in quat_units
-    ]
-    hybrid_table = [
-        [(x * y).components() for y in hybrid_units] for x in hybrid_units
-    ]
-    structure: list[list[tuple[tuple[int, int], ...]]] = []
-    for left in range(16):
-        s, a = divmod(left, 4)
-        row = []
-        for right in range(16):
-            t, b = divmod(right, 4)
-            entries = []
-            for r, qc in enumerate(quat_table[s][t]):
-                if not qc:
-                    continue
-                for m, hc in enumerate(hybrid_table[a][b]):
-                    if not hc:
-                        continue
-                    entries.append((4 * r + m, int(qc * hc)))
-            row.append(tuple(entries))
-        structure.append(row)
-    return structure
+def _tensor(left, right) -> tuple:
+    """The structure table of the tensor product of two 4-dimensional
+    algebras whose units commute: e_(4s+a) * e_(4t+b) = (u_s u_t) x (v_a v_b).
+    Signs of +1 or -1 in both tables give signs of +1 or -1 here."""
+    return tuple(
+        tuple(
+            tuple((4 * r + m, x * y) for r, x in left[s][t] for m, y in right[a][b])
+            for t in range(4)
+            for b in range(4)
+        )
+        for s in range(4)
+        for a in range(4)
+    )
 
 
-_STRUCTURE = _build_structure()
+class HybridQuaternion(Element):
+    __slots__ = ()
+    _FIELDS = COLUMN_NAMES
+    _UNITS = tuple(f"{u}*{v}" for u, v in CANONICAL_PAIRS)
+    _TABLE = _tensor(Quaternion._TABLE, Hybrid._TABLE)
 
+    coeffs = property(lambda self: self.components(), doc="the 16 coefficients")
 
-@dataclass(frozen=True)
-class HybridQuaternion:
-    coeffs: tuple
+    def __repr__(self):
+        return f"HybridQuaternion(coeffs={self.coeffs!r})"
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        if len(coeffs) != 16:
-            raise ValueError(f"need 16 coefficients, got {len(coeffs)}")
-        lifted = []
-        for v in coeffs:
-            if not isinstance(v, SCALAR_TYPES):
-                raise TypeError(f"coefficient of bad type {type(v).__name__}")
-            lifted.append(Fraction(v) if isinstance(v, int) else v)
-        object.__setattr__(self, "coeffs", tuple(lifted))
-        common_discriminant(self.coeffs)
+    def __hash__(self):
+        # as a record whose one field is coeffs hashes
+        return hash((self.coeffs,))
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "HybridQuaternion":
-        return cls((0,) * 16)
-
-    @classmethod
-    def from_scalar(cls, s) -> "HybridQuaternion":
-        return cls((s,) + (0,) * 15)
 
     @classmethod
     def from_hybrid(cls, z: Hybrid) -> "HybridQuaternion":
@@ -102,10 +74,8 @@ class HybridQuaternion:
     @classmethod
     def from_quaternion(cls, q: Quaternion) -> "HybridQuaternion":
         """Embed q on the hybrid-scalar column: q x 1."""
-        coeffs = [0] * 16
-        for s, value in enumerate(q.components()):
-            coeffs[4 * s] = value
-        return cls(tuple(coeffs))
+        zero = Quaternion.zero()
+        return cls.from_hybrid_basis(q, zero, zero, zero)
 
     @classmethod
     def from_quaternion_basis(cls, h0: Hybrid, h1: Hybrid, h2: Hybrid, h3: Hybrid):
@@ -113,7 +83,7 @@ class HybridQuaternion:
         coeffs = []
         for h in (h0, h1, h2, h3):
             coeffs.extend(h.components())
-        return cls(tuple(coeffs))
+        return cls(coeffs)
 
     @classmethod
     def from_hybrid_basis(cls, q0: Quaternion, q1: Quaternion, q2: Quaternion, q3: Quaternion):
@@ -122,13 +92,13 @@ class HybridQuaternion:
         for t, q in enumerate((q0, q1, q2, q3)):
             for s, value in enumerate(q.components()):
                 coeffs[4 * s + t] = value
-        return cls(tuple(coeffs))
+        return cls(coeffs)
 
     @classmethod
     def unit(cls, u: str, v: str) -> "HybridQuaternion":
         coeffs = [0] * 16
         coeffs[4 * _QIDX[u] + _HIDX[v]] = 1
-        return cls(tuple(coeffs))
+        return cls(coeffs)
 
     # -- decompositions ---------------------------------------------------
 
@@ -142,49 +112,7 @@ class HybridQuaternion:
         c = self.coeffs
         return tuple(Quaternion(*(c[4 * s + t] for s in range(4))) for t in range(4))
 
-    # -- ring structure ---------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, HybridQuaternion):
-            return NotImplemented
-        return HybridQuaternion(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, HybridQuaternion):
-            return NotImplemented
-        return HybridQuaternion(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self):
-        return HybridQuaternion(tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, HybridQuaternion):
-            if all(isinstance(c, Fraction) for c in self.coeffs + other.coeffs):
-                return _rational_product(self.coeffs, other.coeffs)
-            acc = [Fraction(0)] * 16
-            for left, xa in enumerate(self.coeffs):
-                if not xa:
-                    continue
-                row = _STRUCTURE[left]
-                for right, yb in enumerate(other.coeffs):
-                    if not yb:
-                        continue
-                    p = xa * yb
-                    for target, sign in row[right]:
-                        acc[target] = acc[target] + sign * p
-            return HybridQuaternion(tuple(acc))
-        if isinstance(other, SCALAR_TYPES):
-            return HybridQuaternion(tuple(a * other for a in self.coeffs))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, SCALAR_TYPES):
-            return HybridQuaternion(tuple(other * a for a in self.coeffs))
-        return NotImplemented
+    # -- powers -----------------------------------------------------------
 
     def __pow__(self, exponent: int) -> "HybridQuaternion":
         if not isinstance(exponent, int):
@@ -205,80 +133,24 @@ class HybridQuaternion:
 
     def conj_quaternion(self) -> "HybridQuaternion":
         """Negate every coefficient with quaternion unit i, j or k."""
-        return HybridQuaternion(
-            tuple(c if flat < 4 else -c for flat, c in enumerate(self.coeffs))
-        )
+        return self._negated(range(4, 16))
 
     def conj_hybrid(self) -> "HybridQuaternion":
         """Negate every coefficient with hybrid unit hi, eps or hh."""
-        return HybridQuaternion(
-            tuple(-c if flat % 4 else c for flat, c in enumerate(self.coeffs))
-        )
+        return self._negated([flat for flat in range(16) if flat % 4])
 
     def conj_total(self) -> "HybridQuaternion":
         """Negate coefficients where exactly one unit factor is non-trivial."""
         return self.conj_quaternion().conj_hybrid()
 
-    def __bool__(self):
-        return any(bool(c) for c in self.coeffs)
-
-    def __str__(self):
-        out: list[str] = []
-        for (u, v), value in zip(CANONICAL_PAIRS, self.coeffs):
-            if not value:
-                continue
-            sign, body = render_coeff(value, f"{u}*{v}")
-            if not out:
-                out.append(body if sign == "+" else f"-{body}")
-            else:
-                out.append(f"{sign} {body}")
-        return " ".join(out) if out else "0"
-
-
-def _integer_vector(coeffs: tuple) -> tuple[list, int]:
-    """Rational coefficients as integer numerators over their lcm denominator."""
-    den = lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _rational_product(xs: tuple, ys: tuple) -> HybridQuaternion:
-    """The product of two all-Fraction coefficient tuples, run on ints."""
-    xn, xd = _integer_vector(xs)
-    yn, yd = _integer_vector(ys)
-    acc = [0] * 16
-    for left, a in enumerate(xn):
-        if not a:
-            continue
-        row = _STRUCTURE[left]
-        for right, b in enumerate(yn):
-            if not b:
-                continue
-            p = a * b
-            # every structure constant is +1 or -1
-            for target, sign in row[right]:
-                if sign > 0:
-                    acc[target] += p
-                else:
-                    acc[target] -= p
-    den = xd * yd
-    result = object.__new__(HybridQuaternion)
-    # every entry is a Fraction, so the validating constructor is skipped
-    object.__setattr__(result, "coeffs", tuple([Fraction(n, den) for n in acc]))
-    return result
-
 
 # -- scalar / vector presentation -----------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarVectorForm:
-    scalar_part: Hybrid
-    vector_part: tuple  # three Hybrid values, the i, j, k coefficients
-
-
-def scalar_vector_form(x: HybridQuaternion) -> ScalarVectorForm:
+def scalar_vector_form(x: HybridQuaternion) -> tuple:
+    """(S, (V1, V2, V3)): the hybrid coefficients of 1 and of i, j, k."""
     h0, h1, h2, h3 = x.as_quaternion_basis()
-    return ScalarVectorForm(h0, (h1, h2, h3))
+    return h0, (h1, h2, h3)
 
 
 def hq_dot(u: tuple, v: tuple) -> Hybrid:
@@ -305,9 +177,8 @@ def mul_via_scalar_vector(x: HybridQuaternion, y: HybridQuaternion) -> HybridQua
     hybrid product keeping the x-side factor on the left (hybrid
     coefficients do not commute, so the order is part of the formula).
     """
-    fx, fy = scalar_vector_form(x), scalar_vector_form(y)
-    sx, vx = fx.scalar_part, fx.vector_part
-    sy, vy = fy.scalar_part, fy.vector_part
+    sx, vx = scalar_vector_form(x)
+    sy, vy = scalar_vector_form(y)
     scalar = sx * sy - hq_dot(vx, vy)
     cross = hq_cross(vx, vy)
     vector = tuple(sx * vy[i] + vx[i] * sy + cross[i] for i in range(3))
@@ -357,4 +228,4 @@ def parse_hybrid_quaternion(text: str) -> HybridQuaternion:
         value = parse_scalar("*".join(factors[:-2]))
         flat = 4 * _QIDX[u] + _HIDX[v]
         coeffs[flat] = coeffs[flat] + sign * value
-    return HybridQuaternion(tuple(coeffs))
+    return HybridQuaternion(coeffs)

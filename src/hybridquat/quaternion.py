@@ -1,65 +1,43 @@
-"""Hamilton quaternions z0 + z1*i + z2*j + z3*k over an exact scalar ring."""
+"""Hamilton quaternions z0 + z1*i + z2*j + z3*k over an exact scalar ring.
+
+i*i = j*j = k*k = -1 and i*j = k, j*k = i, k*i = j, the units
+anti-commuting; storage and arithmetic are those of ``algebra.Element``.
+"""
 
 from __future__ import annotations
 
-from .element4 import Element4
-from .hybrid import render_terms
+from .algebra import Element, structure
+
+# coordinates of e_i * e_j on (1, i, j, k), row i times column j
+UNIT_PRODUCTS = (
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0)),
+    ((0, 0, 1, 0), (0, 0, 0, -1), (-1, 0, 0, 0), (0, 1, 0, 0)),
+    ((0, 0, 0, 1), (0, 0, 1, 0), (0, -1, 0, 0), (-1, 0, 0, 0)),
+)
 
 
-class Quaternion(Element4):
+class Quaternion(Element):
     __slots__ = ()
-    _KIND = "quaternion"
     _FIELDS = ("z0", "z1", "z2", "z3")
+    _UNITS = ("", "i", "j", "k")
+    _TABLE = structure(UNIT_PRODUCTS)
 
     def __init__(self, z0, z1, z2, z3):
-        self._store((z0, z1, z2, z3))
+        super().__init__((z0, z1, z2, z3))
 
     z0 = property(lambda self: self._coeff(0))
     z1 = property(lambda self: self._coeff(1))
     z2 = property(lambda self: self._coeff(2))
     z3 = property(lambda self: self._coeff(3))
 
-    @staticmethod
-    def _product(x, y) -> tuple:
-        # i*j = k, j*k = i, k*i = j, anti-commuting
-        a, b, c, d = x
-        e, f, g, h = y
-        return (
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g + c * e + d * f - b * h,
-            a * h + d * e + b * g - c * f,
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            return self._times(other)
-        return self._scale(other)
-
-    def __rmul__(self, other):
-        return self._scale(other)
+    def conj(self) -> "Quaternion":
+        return self._negated((1, 2, 3))
 
     def norm_sq(self):
         """z * conj(z) = z0^2 + z1^2 + z2^2 + z3^2, as a scalar."""
         a, b, c, d = self._num
         return self._quadratic(a * a + b * b + c * c + d * d)
-
-    def __str__(self):
-        return render_terms(zip(self.components(), ("", "i", "j", "k")))
-
-
-def quat_mul(x: Quaternion, y: Quaternion) -> Quaternion:
-    if not isinstance(x, Quaternion) or not isinstance(y, Quaternion):
-        raise TypeError("quat_mul expects two Quaternion values")
-    return x * y
-
-
-def quat_conj(q: Quaternion) -> Quaternion:
-    return q.conj()
-
-
-def quat_norm_sq(q: Quaternion):
-    return q.norm_sq()
 
 
 QONE = Quaternion(1, 0, 0, 0)

@@ -268,18 +268,6 @@ def make_quad_roots(p, q) -> tuple[QuadExt, QuadExt]:
     return alpha, beta
 
 
-def quad_mul(x: QuadExt, y: QuadExt) -> QuadExt:
-    if not isinstance(x, QuadExt) or not isinstance(y, QuadExt):
-        raise TypeError("quad_mul expects two QuadExt values")
-    return x * y
-
-
-def quad_inv(x: QuadExt) -> QuadExt:
-    if not isinstance(x, QuadExt):
-        raise TypeError("quad_inv expects a QuadExt value")
-    return x.inverse()
-
-
 def common_discriminant(values) -> int | None:
     """The single discriminant used by the QuadExt entries of `values`.
 
@@ -371,7 +359,14 @@ def _parse_surd_body(body: str) -> tuple[Fraction, int]:
         return Fraction(1), disc
     if head == "-":
         return Fraction(-1), disc
-    return Fraction(head), disc
+    return _parse_fraction(head), disc
+
+
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def parse_scalar(text: str):
@@ -392,7 +387,7 @@ def parse_scalar(text: str):
                 raise MixedDiscriminant(f"mixed surds in {text!r}")
             surd += sign * coeff
         else:
-            rat += sign * Fraction(body)
+            rat += sign * _parse_fraction(body)
     if disc is None:
         return rat
     return QuadExt(rat, surd, disc)

@@ -18,6 +18,7 @@ from hybridquat.audit import (
     CATALOG,
     DEFAULT_SPAN,
     IdentityReport,
+    _Identity,
     _Scans,
     audit_all,
     check_binet,
@@ -28,6 +29,7 @@ from hybridquat.audit import (
     reports_to_json,
 )
 from hybridquat.errors import MixedDiscriminant, RationalRoots, RepeatedRoot
+from hybridquat.hybrid_quaternion import HybridQuaternion
 from hybridquat.sequences import FIBONACCI, JACOBSTHAL, LUCAS, MERSENNE, horadam
 
 SPAN = (-10, 30)
@@ -328,6 +330,36 @@ def test_certified_reports_equal_a_full_scan(lo, length):
     with pytest.MonkeyPatch.context() as mp:
         _full_scan(mp)
         assert audit_all(span) == certified
+
+
+@pytest.mark.parametrize(
+    "key, shift",
+    [("Thm3.1.i", lambda m: m), ("C1@x^2-x-1", lambda m: m * (m - 1))],
+)
+def test_a_shift_vanishing_before_the_last_certified_index_is_refuted(key, shift, monkeypatch):
+    """Move the right side of a verified check by delta * shift(n - lo),
+    which vanishes at lo .. lo + r - 2 and not at lo + r - 1: the scan
+    must reach that index, and its witness is the full scan's."""
+    lo = DEFAULT_SPAN[0]
+    ((seq, prepare),) = CATALOG[key].checks
+    delta = HybridQuaternion.unit("j", "eps")
+
+    def shifted(scans):
+        values = prepare(scans)
+
+        def moved(n):
+            *sides, right = values(n)
+            return [*sides, right + shift(n - lo) * delta]
+
+        return moved
+
+    ident = _Identity(key, ORDERS[key], (seq, shifted))
+    (report,) = ident(DEFAULT_SPAN)
+    assert report.status == "REFUTED"
+    assert report.first_failure.n == lo + ORDERS[key] - 1
+    _full_scan(monkeypatch)
+    monkeypatch.setattr(ident, "order", 10**9)
+    assert ident(DEFAULT_SPAN) == [report]
 
 
 def test_audit_cost_does_not_grow_with_the_span(monkeypatch, full_audit):

@@ -277,6 +277,14 @@ def test_mul_rejects_garbage_field(cli):
     assert "left operand" in err
 
 
+@pytest.mark.parametrize("field", ["1/0", "1/0*sqrt(5)"])
+def test_mul_rejects_a_zero_denominator(cli, field):
+    row = field + ",0" * 15
+    code, _, err = cli(["mul"], stdin_text=row + "\n" + IDENTITY_ROW + "\n")
+    assert code == 2
+    assert err.startswith("error: left operand: ") and "zero denominator" in err
+
+
 def test_mul_needs_two_lines(cli):
     code, _, err = cli(["mul"], stdin_text=IDENTITY_ROW + "\n")
     assert code == 2

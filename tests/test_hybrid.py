@@ -17,16 +17,7 @@ import hypothesis.strategies as st
 import pytest
 
 from hybridquat.errors import MixedDiscriminant
-from hybridquat.hybrid import (
-    EPS,
-    HH,
-    HI,
-    ONE,
-    Hybrid,
-    hybrid_character,
-    hybrid_conj,
-    hybrid_mul,
-)
+from hybridquat.hybrid import EPS, HH, HI, ONE, Hybrid
 from hybridquat.scalars import QuadExt
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=40)
@@ -175,6 +166,10 @@ def test_surd_free_quadext_equals_rational():
     same = Hybrid(*(QuadExt(v, 0, 5) for v in x.components()))
     assert x == same and same == x
     assert hash(x) == hash(same)
+    values = (3, -1, 0, 2)
+    ints = Hybrid(*values)
+    for other in (Hybrid(*map(Fraction, values)), Hybrid(*(QuadExt(v, 0, 5) for v in values))):
+        assert ints == other and hash(ints) == hash(other)
 
 
 def test_mixed_discriminants_rejected():
@@ -191,15 +186,6 @@ def test_int_coefficients_become_fractions():
         assert all(isinstance(v, Fraction) for v in value.components())
         assert all(isinstance(v, Fraction) for v in (value.a, value.b, value.c, value.d))
     assert isinstance(z.character(), Fraction)
-
-
-def test_module_level_wrappers():
-    x, y = Hybrid(1, 2, 3, 4), Hybrid(5, 6, 7, 8)
-    assert hybrid_mul(x, y) == x * y
-    assert hybrid_conj(x) == x.conj()
-    assert hybrid_character(x) == x.character()
-    with pytest.raises(TypeError):
-        hybrid_mul(x, 3)
 
 
 def test_rendering():

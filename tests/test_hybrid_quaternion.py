@@ -183,6 +183,12 @@ def test_surd_free_quadext_equals_rational():
     same = HybridQuaternion(tuple(QuadExt(c, 0, 5) for c in x.coeffs))
     assert x == same and same == x
     assert hash(x) == hash(same)
+    ints = HybridQuaternion(tuple(range(-8, 8)))
+    for other in (
+        HybridQuaternion(tuple(Fraction(k) for k in range(-8, 8))),
+        HybridQuaternion(tuple(QuadExt(k, 0, 5) for k in range(-8, 8))),
+    ):
+        assert ints == other and hash(ints) == hash(other)
     # surd-free coefficients are rationals, so they mix with sqrt(2) values
     root2 = HybridQuaternion.from_scalar(QuadExt(0, 1, 2))
     assert same * root2 == x * root2 and root2 * same == root2 * x
@@ -268,9 +274,10 @@ def test_scalar_vector_product_matches(x, y):
 
 def test_scalar_vector_parts():
     x = HybridQuaternion(tuple(range(16)))
-    form = scalar_vector_form(x)
-    assert form.scalar_part == Hybrid(0, 1, 2, 3)
-    assert form.vector_part == (Hybrid(4, 5, 6, 7), Hybrid(8, 9, 10, 11), Hybrid(12, 13, 14, 15))
+    assert scalar_vector_form(x) == (
+        Hybrid(0, 1, 2, 3),
+        (Hybrid(4, 5, 6, 7), Hybrid(8, 9, 10, 11), Hybrid(12, 13, 14, 15)),
+    )
 
 
 def test_vector_factor_order_matters():
@@ -280,8 +287,8 @@ def test_vector_factor_order_matters():
     x = HybridQuaternion.unit("i", "hi")
     y = HybridQuaternion.unit("1", "hh")
     assert mul_via_scalar_vector(x, y) == x * y
-    vx = scalar_vector_form(x).vector_part
-    sy = scalar_vector_form(y).scalar_part
+    _, vx = scalar_vector_form(x)
+    sy, _ = scalar_vector_form(y)
     flipped = HybridQuaternion.from_quaternion_basis(
         Hybrid.zero(), sy * vx[0], sy * vx[1], sy * vx[2]
     )
@@ -328,6 +335,8 @@ def test_parse_goldens():
         parse_hybrid_quaternion("3*q*hi")
     with pytest.raises(ValueError):
         parse_hybrid_quaternion("3*hi")
+    with pytest.raises(ValueError):
+        parse_hybrid_quaternion("1/0*i*hi")
 
 
 @hypothesis.given(hqs)
@@ -343,6 +352,14 @@ def test_parse_round_trip_with_surds():
 
 
 # -- construction errors -------------------------------------------------------
+
+
+def test_record_interface():
+    x = HybridQuaternion(coeffs=(Fraction(1, 2), 3) + (0,) * 14)
+    zeros = ", ".join(["Fraction(0, 1)"] * 14)
+    assert repr(x) == f"HybridQuaternion(coeffs=(Fraction(1, 2), Fraction(3, 1), {zeros}))"
+    with pytest.raises(AttributeError):
+        x.coeffs = (0,) * 16
 
 
 def test_construction_validation():

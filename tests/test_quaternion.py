@@ -13,16 +13,7 @@ import hypothesis.strategies as st
 import pytest
 
 from hybridquat.errors import MixedDiscriminant
-from hybridquat.quaternion import (
-    I,
-    J,
-    K,
-    QONE,
-    Quaternion,
-    quat_conj,
-    quat_mul,
-    quat_norm_sq,
-)
+from hybridquat.quaternion import I, J, K, QONE, Quaternion
 from hybridquat.scalars import QuadExt
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=40)
@@ -99,7 +90,7 @@ def test_norm_sq_is_q_times_conj(q):
 def test_norm_goldens():
     q = Quaternion(1, 1, 1, 1)
     assert q * q.conj() == Quaternion(4, 0, 0, 0)
-    assert quat_norm_sq(Quaternion(1, 2, 3, 4)) == 30
+    assert Quaternion(1, 2, 3, 4).norm_sq() == 30
 
 
 def test_scalar_multiplication():
@@ -128,6 +119,11 @@ def test_surd_free_quadext_equals_rational():
     same = Quaternion(*(QuadExt(v, 0, 5) for v in x.components()))
     assert x == same and same == x
     assert hash(x) == hash(same)
+    values = (3, -1, 0, 2)
+    ints = Quaternion(*values)
+    quads = Quaternion(*(QuadExt(v, 0, 5) for v in values))
+    for other in (Quaternion(*map(Fraction, values)), quads):
+        assert ints == other and hash(ints) == hash(other)
 
 
 def test_int_coefficients_become_fractions():
@@ -137,14 +133,6 @@ def test_int_coefficients_become_fractions():
         assert all(isinstance(v, Fraction) for v in value.components())
         assert all(isinstance(v, Fraction) for v in (value.z0, value.z1, value.z2, value.z3))
     assert isinstance(q.norm_sq(), Fraction)
-
-
-def test_module_level_wrappers():
-    x, y = Quaternion(1, 2, 3, 4), Quaternion(5, 6, 7, 8)
-    assert quat_mul(x, y) == x * y
-    assert quat_conj(x) == x.conj()
-    with pytest.raises(TypeError):
-        quat_mul(x, 1)
 
 
 def test_rendering():
