@@ -125,8 +125,9 @@ class HybridQuaternion(Element):
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     # -- conjugates ---------------------------------------------------------

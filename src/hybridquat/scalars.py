@@ -6,10 +6,11 @@ denominator, which is exactly the contract we need, so there is no custom
 rational type.
 
 ``QuadExt`` represents a + b*sqrt(D) with rational a, b and a squarefree
-integer discriminant D.  Discriminants that are perfect squares are
-rejected outright: the degenerate case belongs to ``Rational``, not to a
-pretend field extension.  All arithmetic is exact; nothing here ever
-touches floating point.
+integer discriminant D.  D is normalised once, when a value is built from
+outside; arithmetic results inherit their operand's D and never factor it
+again.  Discriminants that are perfect squares are rejected outright: the
+degenerate case belongs to ``Rational``, not to a pretend field extension.
+All arithmetic is exact; nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from .errors import DivisionByZero, MixedDiscriminant, RationalRoots, RepeatedRo
 Rational = Fraction
 
 # Trial division bound for extracting square factors from a discriminant.
-# Perfect squares of any size are still detected exactly via isqrt; only
-# canonicalisation of absurdly large non-square discriminants is capped.
+# split_square divides only up to the cube root, so it is exact for every
+# n <= _TRIAL_LIMIT**3 = 10**18; past that a D may keep a square factor.
+# Field identity never depends on the limit: Q(sqrt(d1)) = Q(sqrt(d2))
+# iff d1*d2 is a perfect square, which isqrt decides for any size.
 _TRIAL_LIMIT = 1_000_000
 
 
@@ -62,31 +65,56 @@ def is_perfect_square(n: int) -> bool:
 
 
 def split_square(n: int) -> tuple[int, int]:
-    """Split n > 0 as s*s*d with d squarefree; returns (s, d)."""
+    """Split n > 0 as s*s*d with d squarefree; returns (s, d).
+
+    Each factor f is divided out completely while f**3 <= rest.  What is
+    left then has no prime factor below f and at most two above it, so it
+    is 1, p, p*q or p*p, and one isqrt tells the square apart.
+    """
     if n <= 0:
         raise ValueError("split_square needs a positive integer")
-    square, rest = 1, n
+    square, free, rest = 1, 1, n
     f = 2
-    while f * f <= rest and f <= _TRIAL_LIMIT:
-        while rest % (f * f) == 0:
-            square *= f
-            rest //= f * f
+    while f * f * f <= rest and f <= _TRIAL_LIMIT:
+        if rest % f == 0:
+            e = 0
+            while rest % f == 0:
+                rest //= f
+                e += 1
+            square *= f ** (e >> 1)
+            if e & 1:
+                free *= f
         f += 1 if f == 2 else 2
     root = isqrt(rest)
     if root * root == rest:
-        square *= root
-        rest = 1
-    return square, rest
+        return square * root, free
+    return square, free * rest
+
+
+def _surd_ratio(d_from: int, d_to: int) -> Fraction | None:
+    """The rational r with sqrt(d_from) = r*sqrt(d_to), or None.
+
+    It exists iff Q(sqrt(d_from)) = Q(sqrt(d_to)), that is iff
+    d_from*d_to is a perfect square; no factoring is needed.
+    """
+    product = d_from * d_to
+    if product <= 0:
+        return None
+    root = isqrt(product)
+    if root * root != product:
+        return None
+    return Fraction(root, abs(d_to))
 
 
 class QuadExt:
     """An element a + b*sqrt(D) of the quadratic field Q(sqrt(D)).
 
-    D is normalised to be squarefree at construction (sqrt(8) becomes
-    2*sqrt(2)), so equality is componentwise comparison; a surd-free value
-    equals the same rational whatever its discriminant.  Values are
-    immutable.  int and Fraction operands are lifted into the field; two
-    QuadExt values with different discriminants refuse to mix and raise
+    D is normalised once, at construction: it is made squarefree (sqrt(8)
+    becomes 2*sqrt(2)) and every arithmetic result keeps its operand's D,
+    so no operation factors it again.  A surd-free value equals the same
+    rational whatever its discriminant.  Values are immutable.  int and
+    Fraction operands are lifted into the field; two QuadExt values whose
+    discriminants give different fields refuse to mix and raise
     MixedDiscriminant instead of guessing.
     """
 
@@ -95,17 +123,29 @@ class QuadExt:
     def __init__(self, rat_part, surd_part, discriminant: int):
         rat = _as_fraction(rat_part)
         surd = _as_fraction(surd_part)
-        disc = int(discriminant)
-        if disc == 0:
+        if not isinstance(discriminant, int):
+            raise TypeError(
+                f"expected an integer discriminant, got {type(discriminant).__name__}"
+            )
+        if discriminant == 0:
             raise RationalRoots("discriminant 0 is degenerate; use Rational")
-        s, d = split_square(abs(disc))
-        if d == 1 and disc > 0:
+        s, d = split_square(abs(discriminant))
+        if d == 1 and discriminant > 0:
             raise RationalRoots(
-                f"sqrt({disc}) is rational; represent the value as Rational"
+                f"sqrt({discriminant}) is rational; represent the value as Rational"
             )
         object.__setattr__(self, "rat_part", rat)
         object.__setattr__(self, "surd_part", surd * s)
-        object.__setattr__(self, "discriminant", d if disc > 0 else -d)
+        object.__setattr__(self, "discriminant", d if discriminant > 0 else -d)
+
+    @classmethod
+    def _new(cls, rat: Fraction, surd: Fraction, disc: int) -> "QuadExt":
+        # trusted: Fraction parts and a disc that is already normalised
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "rat_part", rat)
+        object.__setattr__(obj, "surd_part", surd)
+        object.__setattr__(obj, "discriminant", disc)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
@@ -118,23 +158,26 @@ class QuadExt:
         if isinstance(other, QuadExt):
             if other.discriminant != self.discriminant:
                 if not other.surd_part:
-                    return QuadExt(other.rat_part, 0, self.discriminant)
+                    return QuadExt._new(other.rat_part, other.surd_part, self.discriminant)
                 if not self.surd_part:
                     return other
-                raise MixedDiscriminant(
-                    f"sqrt({self.discriminant}) and sqrt({other.discriminant}) "
-                    "do not live in a common quadratic field"
-                )
+                ratio = _surd_ratio(other.discriminant, self.discriminant)
+                if ratio is None:
+                    raise MixedDiscriminant(
+                        f"sqrt({self.discriminant}) and sqrt({other.discriminant}) "
+                        "do not live in a common quadratic field"
+                    )
+                return QuadExt._new(other.rat_part, other.surd_part * ratio, self.discriminant)
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.discriminant)
+            return QuadExt._new(_as_fraction(other), _ZERO, self.discriminant)
         return None
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return QuadExt(
+        return QuadExt._new(
             self.rat_part + o.rat_part, self.surd_part + o.surd_part, o.discriminant
         )
 
@@ -144,7 +187,7 @@ class QuadExt:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return QuadExt(
+        return QuadExt._new(
             self.rat_part - o.rat_part, self.surd_part - o.surd_part, o.discriminant
         )
 
@@ -155,7 +198,7 @@ class QuadExt:
         return o - self
 
     def __neg__(self):
-        return QuadExt(-self.rat_part, -self.surd_part, self.discriminant)
+        return QuadExt._new(-self.rat_part, -self.surd_part, self.discriminant)
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -163,7 +206,7 @@ class QuadExt:
             return NotImplemented
         a, b = self.rat_part, self.surd_part
         c, e, d = o.rat_part, o.surd_part, o.discriminant
-        return QuadExt(a * c + b * e * d, a * e + c * b, d)
+        return QuadExt._new(a * c + b * e * d, a * e + c * b, d)
 
     __rmul__ = __mul__
 
@@ -174,7 +217,7 @@ class QuadExt:
         # a*a - b*b*d = 0 with b != 0 would force sqrt(d) rational,
         # which construction already ruled out.
         norm = a * a - b * b * d
-        return QuadExt(a / norm, -b / norm, d)
+        return QuadExt._new(a / norm, -b / norm, d)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -193,19 +236,20 @@ class QuadExt:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = QuadExt(1, 0, self.discriminant)
+        result = QuadExt._new(_ONE, _ZERO, self.discriminant)
         base = self
         e = exponent
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def conjugate(self) -> "QuadExt":
         """The field conjugate a - b*sqrt(D)."""
-        return QuadExt(self.rat_part, -self.surd_part, self.discriminant)
+        return QuadExt._new(self.rat_part, -self.surd_part, self.discriminant)
 
     # -- comparison and rendering ---------------------------------------
 
@@ -215,11 +259,14 @@ class QuadExt:
     def __eq__(self, other):
         if isinstance(other, QuadExt):
             # a surd-free value is a rational, whatever field it was built in
-            return (
-                self.rat_part == other.rat_part
-                and self.surd_part == other.surd_part
-                and (not self.surd_part or self.discriminant == other.discriminant)
-            )
+            if self.rat_part != other.rat_part:
+                return False
+            if self.discriminant == other.discriminant or not (
+                self.surd_part and other.surd_part
+            ):
+                return self.surd_part == other.surd_part
+            ratio = _surd_ratio(other.discriminant, self.discriminant)
+            return ratio is not None and self.surd_part == other.surd_part * ratio
         if isinstance(other, (int, Fraction)):
             return not self.surd_part and self.rat_part == other
         return NotImplemented
@@ -227,7 +274,10 @@ class QuadExt:
     def __hash__(self):
         if not self.surd_part:
             return hash(self.rat_part)
-        return hash((self.rat_part, self.surd_part, self.discriminant))
+        # b*sqrt(D) is fixed by the sign of b and by b*b*D, whichever D of
+        # its field the value was written over
+        b = self.surd_part
+        return hash((self.rat_part, b > 0, b * b * self.discriminant))
 
     def __repr__(self):
         return f"QuadExt({self.rat_part!r}, {self.surd_part!r}, {self.discriminant})"
@@ -240,6 +290,9 @@ class QuadExt:
         if not self.rat_part:
             return surd if sign == "+" else f"-{surd}"
         return f"{self.rat_part} {sign} {surd}"
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def make_quad_roots(p, q) -> tuple[QuadExt, QuadExt]:
@@ -263,8 +316,8 @@ def make_quad_roots(p, q) -> tuple[QuadExt, QuadExt]:
     # sqrt(num/den) = (s/den) * sqrt(d)
     half = Fraction(1, 2)
     spread = Fraction(s, den) * half
-    alpha = QuadExt(p * half, spread, d)
-    beta = QuadExt(p * half, -spread, d)
+    alpha = QuadExt._new(p * half, spread, d)
+    beta = QuadExt._new(p * half, -spread, d)
     return alpha, beta
 
 
@@ -272,27 +325,26 @@ def common_discriminant(values) -> int | None:
     """The single discriminant used by the QuadExt entries of `values`.
 
     Returns None when no entry is a QuadExt.  Surd-free entries are
-    rationals and fit any field.  Raises MixedDiscriminant when two entries
-    carry surds of different discriminants; mixing rings is a construction
-    error, not a coercion.
+    rationals and fit any field, and so does the discriminant of any
+    surd-carrying entry written over another D of the same field.  Raises
+    MixedDiscriminant when two entries carry surds of different fields;
+    mixing rings is a construction error, not a coercion.
     """
     disc: int | None = None
+    field: int | None = None
     for v in values:
         if isinstance(v, QuadExt):
             if disc is None:
                 disc = v.discriminant
-            elif v.discriminant != disc:
-                fields = list(
-                    dict.fromkeys(
-                        w.discriminant for w in values if isinstance(w, QuadExt) and w.surd_part
-                    )
+            if not v.surd_part:
+                continue
+            if field is None:
+                field = v.discriminant
+            elif v.discriminant != field and _surd_ratio(v.discriminant, field) is None:
+                raise MixedDiscriminant(
+                    f"coefficients mix sqrt({field}) with sqrt({v.discriminant})"
                 )
-                if len(fields) > 1:
-                    raise MixedDiscriminant(
-                        f"coefficients mix sqrt({fields[0]}) with sqrt({fields[1]})"
-                    )
-                return fields[0] if fields else disc
-    return disc
+    return disc if field is None else field
 
 
 # -- parsing ------------------------------------------------------------

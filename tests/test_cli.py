@@ -92,6 +92,14 @@ def test_binet_matches_recurrence(cli):
     assert by_binet == by_recurrence
 
 
+def test_binet_matches_recurrence_at_a_large_discriminant(cli):
+    # D = 10000001**2 + 4 is about 10**14 and squarefree
+    args = ["seq", "--params", "0,1,10000001,-1", "--from", "0", "--to", "3"]
+    _, by_recurrence, _ = cli(args + ["--method", "recurrence"])
+    _, by_binet, _ = cli(args + ["--method", "binet"])
+    assert by_binet == by_recurrence == "n,w\n0,0\n1,1\n2,10000001\n3,100000020000002\n"
+
+
 def test_csv_and_json_carry_same_numbers(cli):
     args = ["seq", "--sequence", "jacobsthal", "--from", "0", "--to", "6", "--lift", "hybrid"]
     _, csv_out, _ = cli(args)

@@ -157,6 +157,25 @@ def test_power():
         x ** -1
 
 
+def test_power_squares_only_up_to_the_top_bit(monkeypatch):
+    # 141 = 0b10001101: seven squarings reach x**128 and the four set bits
+    # cost four multiplies; squaring once more would build x**256 for nothing
+    x = HybridQuaternion(tuple(range(1, 17)))
+    expected = x
+    for _ in range(140):
+        expected = expected * x
+    squarings, multiplies = [], []
+    product = HybridQuaternion.__mul__
+
+    def counting(a, b):
+        (squarings if a is b else multiplies).append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(HybridQuaternion, "__mul__", counting)
+    assert x ** 141 == expected
+    assert (len(squarings), len(multiplies)) == (7, 4)
+
+
 def test_int_coefficients_become_fractions():
     x = HybridQuaternion(tuple(range(16)))
     y = HybridQuaternion(tuple(range(-8, 8)))

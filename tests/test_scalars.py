@@ -44,10 +44,32 @@ def test_split_square_goldens():
     assert split_square(4 * 49 * 3) == (14, 3)
 
 
+def _squarefree(d):
+    f = 2
+    while f * f <= d:
+        if d % (f * f) == 0:
+            return False
+        f += 1
+    return True
+
+
 @hypothesis.given(st.integers(min_value=1, max_value=10**6))
 def test_split_square_reconstructs(n):
     s, d = split_square(n)
     assert s * s * d == n
+    assert _squarefree(d)
+
+
+@pytest.mark.parametrize("p, q", [(1009, 1013), (999983, 999979), (1000003, 1000033)])
+def test_split_square_at_the_cube_root_stop(p, q):
+    # trial division stops once f**3 passes the rest, which is then
+    # 1, p, p*q or p*p; exact for every n <= 10**18
+    assert split_square(p * q) == (1, p * q)
+    assert split_square(p * p) == (p, 1)
+    assert split_square(2 * p * p) == (p, 2)
+    if p**3 <= 10**18:
+        assert split_square(p**3) == (p, p)
+        assert split_square(p * p * q) == (p, q)
 
 
 def test_is_perfect_square():
@@ -79,6 +101,12 @@ def test_negative_discriminant_allowed():
     assert z == QuadExt(0, 2, -1)
     assert z.discriminant == -1
     assert z * z == Fraction(-4)
+
+
+def test_discriminant_must_be_an_int():
+    for bad in (5.5, "5", Fraction(5)):
+        with pytest.raises(TypeError):
+            QuadExt(1, 1, bad)
 
 
 def test_immutable():
@@ -177,6 +205,57 @@ def test_mixed_discriminants_refuse():
         QuadExt(0, 1, 5) + QuadExt(0, 1, 2)
     with pytest.raises(MixedDiscriminant):
         QuadExt(0, 1, 5) * QuadExt(0, 1, 2)
+
+
+# P*P*Q*2 passes 10**18, so its square factor P*P stays in the discriminant
+P, Q = 1000003, 1000033
+
+
+def test_field_identity_past_the_trial_limit():
+    wide = QuadExt(0, 1, 2 * P * P * Q)  # sqrt(2*P*P*Q) = P*sqrt(2*Q)
+    narrow = QuadExt(0, P, 2 * Q)
+    assert wide == narrow and narrow == wide
+    assert hash(wide) == hash(narrow)
+    assert wide + QuadExt(0, 1, 2 * Q) == QuadExt(0, P + 1, 2 * Q)
+    assert QuadExt(0, 1, 2 * Q) * wide == 2 * P * Q
+    assert wide - narrow == 0
+    assert common_discriminant([wide, narrow]) == wide.discriminant
+    assert QuadExt(0, -1, -2 * P * P * Q) == QuadExt(0, -P, -2 * Q)
+    assert QuadExt(0, 1, 2 * P * P * Q) != QuadExt(0, -P, 2 * Q)
+    with pytest.raises(MixedDiscriminant):
+        wide + QuadExt(0, 1, 3 * Q)
+    with pytest.raises(MixedDiscriminant):
+        wide * QuadExt(0, 1, -2 * Q)
+
+
+def test_arithmetic_never_calls_split_square(monkeypatch):
+    import hybridquat.scalars as scalars
+
+    x, y = QuadExt(3, 7, 900060005), QuadExt(Fraction(1, 2), -1, 900060005)
+    rational = QuadExt(1, 0, 5)
+    calls = []
+    monkeypatch.setattr(scalars, "split_square", lambda n: calls.append(n))
+    for z in (x + y, x - y, -x, x * y, x / y, 2 - x, 1 / y, x ** 5, x ** -2,
+              x.conjugate(), x.inverse(), x + rational, rational * y, x == y):
+        assert z is not None
+    assert calls == []
+
+
+def test_power_squares_only_up_to_the_top_bit(monkeypatch):
+    x = QuadExt(1, 1, 5)
+    expected = x
+    for _ in range(140):
+        expected = expected * x
+    squarings, multiplies = [], []
+    product = QuadExt.__mul__
+
+    def counting(a, b):
+        (squarings if a is b else multiplies).append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(QuadExt, "__mul__", counting)
+    assert x ** 141 == expected
+    assert (len(squarings), len(multiplies)) == (7, 4)
 
 
 def test_rational_operand_lifting():

@@ -294,6 +294,26 @@ def test_binet_lifts_match_recurrence_lifts(seq):
         assert all(c.surd_part == 0 for c in hat.coeffs)
 
 
+def test_binet_normalises_the_discriminant_once(monkeypatch):
+    # D = 30001**2 + 4 = 900060005 is factored once, by make_quad_roots,
+    # and never by the QuadExt arithmetic that follows
+    import hybridquat.scalars as scalars
+
+    seq = HoradamParams(0, 1, 30001, -1)
+    split_square = scalars.split_square
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return split_square(n)
+
+    monkeypatch.setattr(scalars, "split_square", counting)
+    hat = binet_hybrid_quaternion(seq, 1100)
+    assert calls == [900060005]
+    monkeypatch.undo()
+    assert hat == lift_hybrid_quaternion(seq, 1100)
+
+
 def test_binet_data_is_a_plain_record():
     data = binet_data(FIBONACCI)
     assert isinstance(data, BinetData)
