@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Sequence
 
@@ -38,20 +37,6 @@ _HEADERS = {
     "quaternion": ("z0", "z1", "z2", "z3"),
     "hybrid-quaternion": COLUMN_NAMES,
 }
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved invocation: which subcommand, on what, over which range."""
-
-    command: str
-    params: HoradamParams | None = None
-    lo: int | None = None
-    hi: int | None = None
-    lift: str = "scalar"
-    method: str = "recurrence"
-    fmt: str = "csv"
-    identity: str | None = None
 
 
 class UsageError(Exception):
@@ -119,35 +104,30 @@ def _emit_table(
         out.write(json.dumps(payload, indent=2) + "\n")
 
 
-def run_seq(config: CliConfig, out: IO[str]) -> int:
-    if config.lo > config.hi:
-        raise UsageError(f"empty range: --from {config.lo} > --to {config.hi}")
-    params = config.params
-    if config.method == "binet":
+def run_seq(args: argparse.Namespace, out: IO[str]) -> int:
+    if args.method == "binet":
         try:
-            data = binet_data(params)
+            data = binet_data(args.params)
         except RationalRoots as exc:
             raise UsageError(f"rational roots: {exc}") from None
-        body = [(n, _binet_row(data, config.lift, n)) for n in range(config.lo, config.hi + 1)]
+        body = [(n, _binet_row(data, args.lift, n)) for n in range(args.lo, args.hi + 1)]
     else:
-        values = _recurrence_rows(params, config.lift, config.lo, config.hi)
-        body = list(zip(range(config.lo, config.hi + 1), values))
-    _emit_table(body, _HEADERS[config.lift], config.fmt, out)
+        values = _recurrence_rows(args.params, args.lift, args.lo, args.hi)
+        body = list(zip(range(args.lo, args.hi + 1), values))
+    _emit_table(body, _HEADERS[args.lift], args.fmt, out)
     return 0
 
 
-def run_audit(config: CliConfig, out: IO[str]) -> int:
-    span = (config.lo, config.hi)
-    if config.lo > config.hi:
-        raise UsageError(f"empty range: --from {config.lo} > --to {config.hi}")
-    if config.identity is None:
+def run_audit(args: argparse.Namespace, out: IO[str]) -> int:
+    span = (args.lo, args.hi)
+    if args.identity is None:
         reports = audit_all(span)
     else:
         lookup = {key.lower(): runner for key, runner in CATALOG.items()}
-        runner = lookup.get(config.identity.lower())
+        runner = lookup.get(args.identity.lower())
         if runner is None:
             known = ", ".join(CATALOG)
-            raise UsageError(f"unknown identity {config.identity!r} (known: {known})")
+            raise UsageError(f"unknown identity {args.identity!r} (known: {known})")
         reports = runner(span)
     out.write(reports_to_json(reports) + "\n")
     # UNEVALUABLE never fails the run; only an actual refutation does
@@ -165,14 +145,14 @@ def _read_operand(line: str, which: str) -> HybridQuaternion:
         raise UsageError(f"{which} operand: {exc}") from None
 
 
-def run_mul(config: CliConfig, stdin: IO[str], out: IO[str]) -> int:
+def run_mul(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
     lines = [line for line in (raw.strip() for raw in stdin) if line]
     if len(lines) != 2:
         raise UsageError(f"mul needs exactly two operand lines, got {len(lines)}")
     left = _read_operand(lines[0], "left")
     right = _read_operand(lines[1], "right")
     coeffs = [str(c) for c in (left * right).coeffs]
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         out.write(",".join(coeffs) + "\n")
     else:
         out.write(json.dumps(coeffs, indent=2) + "\n")
@@ -233,20 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    # an unknown sequence is reported before an empty range
     if args.command == "seq":
-        return CliConfig(
-            command="seq",
-            params=_resolve_sequence(args.sequence, args.params),
-            lo=args.lo,
-            hi=args.hi,
-            lift=args.lift,
-            method=args.method,
-            fmt=args.fmt,
-        )
-    if args.command == "audit":
-        return CliConfig(command="audit", lo=args.lo, hi=args.hi, identity=args.identity)
-    return CliConfig(command="mul", fmt=args.fmt)
+        args.params = _resolve_sequence(args.sequence, args.params)
+    if args.command != "mul" and args.lo > args.hi:
+        raise UsageError(f"empty range: --from {args.lo} > --to {args.hi}")
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -263,16 +236,13 @@ def _main(argv: Sequence[str] | None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
-        if config.command == "seq":
-            return run_seq(config, sys.stdout)
-        if config.command == "audit":
-            return run_audit(config, sys.stdout)
-        return run_mul(config, sys.stdin, sys.stdout)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (HybridQuatError, ValueError) as exc:
+        args = _config_from_args(args)
+        if args.command == "seq":
+            return run_seq(args, sys.stdout)
+        if args.command == "audit":
+            return run_audit(args, sys.stdout)
+        return run_mul(args, sys.stdin, sys.stdout)
+    except (UsageError, HybridQuatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

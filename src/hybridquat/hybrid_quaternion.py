@@ -22,7 +22,7 @@ from fractions import Fraction
 from .algebra import Element
 from .hybrid import Hybrid
 from .quaternion import Quaternion
-from .scalars import parse_scalar, split_terms
+from .scalars import parse_scalar, power, split_terms
 
 QUAT_UNITS = ("1", "i", "j", "k")
 HYBRID_UNITS = ("1", "hi", "eps", "hh")
@@ -59,10 +59,6 @@ class HybridQuaternion(Element):
 
     def __repr__(self):
         return f"HybridQuaternion(coeffs={self.coeffs!r})"
-
-    def __hash__(self):
-        # as a record whose one field is coeffs hashes
-        return hash((self.coeffs,))
 
     # -- constructors -----------------------------------------------------
 
@@ -119,16 +115,7 @@ class HybridQuaternion(Element):
             return NotImplemented
         if exponent < 0:
             raise ValueError("the algebra has zero divisors; no negative powers")
-        result = HybridQuaternion.from_scalar(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, exponent, HybridQuaternion.from_scalar(1))
 
     # -- conjugates ---------------------------------------------------------
 
@@ -195,21 +182,6 @@ def hq_mul(x: HybridQuaternion, y: HybridQuaternion) -> HybridQuaternion:
 # -- parsing ---------------------------------------------------------------
 
 
-def _split_factors(body: str) -> list[str]:
-    factors: list[str] = []
-    depth, start = 0, 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "*" and depth == 0:
-            factors.append(body[start:i].strip())
-            start = i + 1
-    factors.append(body[start:].strip())
-    return factors
-
-
 def parse_hybrid_quaternion(text: str) -> HybridQuaternion:
     """Parse the canonical 16-term rendering "coeff*u*v + ...".
 
@@ -220,13 +192,14 @@ def parse_hybrid_quaternion(text: str) -> HybridQuaternion:
     for sign, body in split_terms(text):
         if body == "0":
             continue
-        factors = _split_factors(body)
+        # unit names hold no "*", so the last two factors are the units
+        factors = [f.strip() for f in body.rsplit("*", 2)]
         if len(factors) < 3:
             raise ValueError(f"term {body!r} lacks coeff*u*v form")
-        u, v = factors[-2], factors[-1]
+        coeff, u, v = factors
         if u not in _QIDX or v not in _HIDX:
             raise ValueError(f"unknown unit pair {u!r}, {v!r} in {body!r}")
-        value = parse_scalar("*".join(factors[:-2]))
+        value = parse_scalar(coeff)
         flat = 4 * _QIDX[u] + _HIDX[v]
         coeffs[flat] = coeffs[flat] + sign * value
     return HybridQuaternion(coeffs)

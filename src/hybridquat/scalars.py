@@ -18,6 +18,7 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .errors import DivisionByZero, MixedDiscriminant, RationalRoots, RepeatedRoot
@@ -64,12 +65,14 @@ def is_perfect_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
+@lru_cache(maxsize=128)
 def split_square(n: int) -> tuple[int, int]:
     """Split n > 0 as s*s*d with d squarefree; returns (s, d).
 
     Each factor f is divided out completely while f**3 <= rest.  What is
     left then has no prime factor below f and at most two above it, so it
-    is 1, p, p*q or p*p, and one isqrt tells the square apart.
+    is 1, p, p*q or p*p, and one isqrt tells the square apart.  Results
+    are memoised, so many values built over one large D divide once.
     """
     if n <= 0:
         raise ValueError("split_square needs a positive integer")
@@ -89,6 +92,20 @@ def split_square(n: int) -> tuple[int, int]:
     if root * root == rest:
         return square * root, free
     return square, free * rest
+
+
+def power(base, exponent: int, one):
+    """base ** exponent for an int exponent >= 0, ``one`` being the unit of
+    base's ring; base is squared only while bits remain (x ** 141 costs
+    seven squarings and four multiplies)."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 def _surd_ratio(d_from: int, d_to: int) -> Fraction | None:
@@ -236,16 +253,7 @@ class QuadExt:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = QuadExt._new(_ONE, _ZERO, self.discriminant)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, exponent, QuadExt._new(_ONE, _ZERO, self.discriminant))
 
     def conjugate(self) -> "QuadExt":
         """The field conjugate a - b*sqrt(D)."""
@@ -257,19 +265,14 @@ class QuadExt:
         return bool(self.rat_part) or bool(self.surd_part)
 
     def __eq__(self, other):
-        if isinstance(other, QuadExt):
-            # a surd-free value is a rational, whatever field it was built in
-            if self.rat_part != other.rat_part:
-                return False
-            if self.discriminant == other.discriminant or not (
-                self.surd_part and other.surd_part
-            ):
-                return self.surd_part == other.surd_part
-            ratio = _surd_ratio(other.discriminant, self.discriminant)
-            return ratio is not None and self.surd_part == other.surd_part * ratio
-        if isinstance(other, (int, Fraction)):
-            return not self.surd_part and self.rat_part == other
-        return NotImplemented
+        # _lift writes other over self's D; values of two fields differ
+        try:
+            o = self._lift(other)
+        except MixedDiscriminant:
+            return False
+        if o is None:
+            return NotImplemented
+        return self.rat_part == o.rat_part and self.surd_part == o.surd_part
 
     def __hash__(self):
         if not self.surd_part:
@@ -310,15 +313,9 @@ def make_quad_roots(p, q) -> tuple[QuadExt, QuadExt]:
     num, den = disc.numerator, disc.denominator
     if num > 0 and is_perfect_square(num * den):
         raise RationalRoots(f"x^2 - {p}x + {q} splits over the rationals")
-    s, d = split_square(abs(num) * den)
-    if num < 0:
-        d = -d
-    # sqrt(num/den) = (s/den) * sqrt(d)
-    half = Fraction(1, 2)
-    spread = Fraction(s, den) * half
-    alpha = QuadExt._new(p * half, spread, d)
-    beta = QuadExt._new(p * half, -spread, d)
-    return alpha, beta
+    # sqrt(num/den) = sqrt(num*den)/den
+    half_root = QuadExt(0, Fraction(1, 2 * den), num * den)
+    return p / 2 + half_root, p / 2 - half_root
 
 
 def common_discriminant(values) -> int | None:
@@ -407,10 +404,8 @@ def _parse_surd_body(body: str) -> tuple[Fraction, int]:
     head = head.strip()
     if head.endswith("*"):
         head = head[:-1].strip()
-    if head in ("", "+"):
-        return Fraction(1), disc
-    if head == "-":
-        return Fraction(-1), disc
+    if head in ("", "+", "-"):
+        head += "1"
     return _parse_fraction(head), disc
 
 
@@ -426,20 +421,19 @@ def parse_scalar(text: str):
 
     Accepts "n", "n/d", "a + b*sqrt(D)" and any signed combination of
     those terms.  Returns a Fraction when no surd appears, else a QuadExt.
+    The terms are summed as scalars, so QuadExt decides field identity:
+    any spelling of one field parses ("sqrt(8) + sqrt(2)" is 3*sqrt(2)),
+    and surds of two fields raise MixedDiscriminant.
     """
-    rat = Fraction(0)
-    surd = Fraction(0)
-    disc: int | None = None
+    value = Fraction(0)
     for sign, body in split_terms(strip_outer_parens(text)):
         if "sqrt(" in body:
             coeff, d = _parse_surd_body(body)
-            if disc is None:
-                disc = d
-            elif d != disc:
-                raise MixedDiscriminant(f"mixed surds in {text!r}")
-            surd += sign * coeff
+            term = QuadExt(0, sign * coeff, d)
         else:
-            rat += sign * _parse_fraction(body)
-    if disc is None:
-        return rat
-    return QuadExt(rat, surd, disc)
+            term = sign * _parse_fraction(body)
+        try:
+            value = value + term
+        except MixedDiscriminant:
+            raise MixedDiscriminant(f"mixed surds in {text!r}") from None
+    return value

@@ -148,6 +148,10 @@ def test_unknown_sequence(cli):
     code, _, err = cli(["seq", "--sequence", "tribonacci", "--from", "0", "--to", "1"])
     assert code == 2
     assert "unknown sequence" in err
+    # an unknown sequence is reported before an empty range
+    code, _, err = cli(["seq", "--sequence", "nosuch", "--from", "5", "--to", "1"])
+    assert code == 2
+    assert err.startswith("error: unknown sequence 'nosuch'")
 
 
 def test_missing_range_is_usage_error(cli):
@@ -208,6 +212,10 @@ def test_audit_empty_range(cli):
     code, _, err = cli(["audit", "--from", "5", "--to", "4"])
     assert code == 2
     assert "empty range" in err
+    # an empty range is reported before an unknown identity
+    code, _, err = cli(["audit", "--identity", "nope", "--from", "5", "--to", "1"])
+    assert code == 2
+    assert err == "error: empty range: --from 5 > --to 1\n"
 
 
 def test_audit_unknown_identity(cli):
@@ -291,6 +299,24 @@ def test_mul_rejects_a_zero_denominator(cli, field):
     code, _, err = cli(["mul"], stdin_text=row + "\n" + IDENTITY_ROW + "\n")
     assert code == 2
     assert err.startswith("error: left operand: ") and "zero denominator" in err
+
+
+def test_mul_reads_any_spelling_of_a_field(cli):
+    row = "sqrt(8)+sqrt(2)" + ",0" * 15
+    code, out, err = cli(["mul"], stdin_text=row + "\n" + IDENTITY_ROW + "\n")
+    assert (code, err) == (0, "")
+    assert out == "3*sqrt(2)" + ",0" * 15 + "\n"
+
+
+def test_mul_over_a_large_discriminant_factors_it_once(cli):
+    # D < 10**18 is prime: every field would repeat the trial division
+    from hybridquat.scalars import split_square
+
+    row = ",".join(f"{k} + sqrt(999999999999999989)" for k in range(16))
+    split_square.cache_clear()
+    code, out, _ = cli(["mul"], stdin_text=row + "\n" + row + "\n")
+    assert code == 0 and out.count("sqrt(999999999999999989)") == 16
+    assert split_square.cache_info().misses == 1
 
 
 def test_mul_needs_two_lines(cli):

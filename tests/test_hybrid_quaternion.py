@@ -356,6 +356,11 @@ def test_parse_goldens():
         parse_hybrid_quaternion("3*hi")
     with pytest.raises(ValueError):
         parse_hybrid_quaternion("1/0*i*hi")
+    coeffs = [0] * 16
+    coeffs[5], coeffs[15] = QuadExt(1, 2, 5), QuadExt(0, -3, 5)
+    assert parse_hybrid_quaternion(
+        "(1 + 2*sqrt(5))*i*hi - 3 * sqrt(5) * k * hh"
+    ) == HybridQuaternion(coeffs)
 
 
 @hypothesis.given(hqs)

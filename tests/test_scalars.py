@@ -1,5 +1,6 @@
 """Exact-scalar layer: Q(sqrt(D)) arithmetic, root construction, parsing."""
 
+import re
 from fractions import Fraction
 
 import hypothesis
@@ -146,6 +147,24 @@ def test_rational_quadratics_rejected():
         make_quad_roots(2, 1)  # disc 0
 
 
+@pytest.mark.parametrize(
+    "p, q, expected",
+    [
+        (1, -1, "(QuadExt(Fraction(1, 2), Fraction(1, 2), 5), "
+                "QuadExt(Fraction(1, 2), Fraction(-1, 2), 5))"),
+        (Fraction(1, 2), -1, "(QuadExt(Fraction(1, 4), Fraction(1, 4), 17), "
+                             "QuadExt(Fraction(1, 4), Fraction(-1, 4), 17))"),
+        (0, 1, "(QuadExt(Fraction(0, 1), Fraction(1, 1), -1), "
+               "QuadExt(Fraction(0, 1), Fraction(-1, 1), -1))"),
+        (Fraction(3, 7), Fraction(-2, 5), "(QuadExt(Fraction(3, 14), Fraction(1, 70), 2185), "
+                                          "QuadExt(Fraction(3, 14), Fraction(-1, 70), 2185))"),
+    ],
+)
+def test_root_repr_goldens(p, q, expected):
+    # the rational part stays a Fraction and the discriminant squarefree
+    assert repr(make_quad_roots(p, q)) == expected
+
+
 def test_fractional_coefficients():
     alpha, _ = make_quad_roots(Fraction(1, 2), -1)
     # disc = 1/4 + 4 = 17/4, sqrt = (1/2)sqrt(17)
@@ -287,6 +306,41 @@ def test_surd_free_values_equal_across_discriminants():
     assert QuadExt(0, 1, 5) != QuadExt(0, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "x, y, equal",
+    [
+        # surd-free against the same D, another D of the field, another field
+        (QuadExt(3, 0, 5), QuadExt(3, 0, 5), True),
+        (QuadExt(3, 0, 5), QuadExt(3, 0, 20), True),
+        (QuadExt(3, 0, 5), QuadExt(3, 0, 7), True),
+        (QuadExt(3, 0, 5), QuadExt(4, 0, 7), False),
+        (QuadExt(3, 0, 5), QuadExt(3, 1, 5), False),
+        (QuadExt(3, 0, 5), QuadExt(3, 1, 7), False),
+        # surd-carrying against the same D, another D of the field, another field
+        (QuadExt(3, 2, 5), QuadExt(3, 2, 5), True),
+        (QuadExt(3, 2, 5), QuadExt(3, 1, 20), True),
+        (QuadExt(3, 2, 5), QuadExt(3, 2, 20), False),
+        (QuadExt(3, 2, -1), QuadExt(3, 1, -4), True),
+        (QuadExt(3, 2, 5), QuadExt(3, 2, 7), False),
+        (QuadExt(3, 2, 5), QuadExt(3, 2, -5), False),
+        # int and Fraction
+        (QuadExt(3, 0, 5), 3, True),
+        (QuadExt(3, 0, 5), Fraction(3), True),
+        (QuadExt(Fraction(1, 2), 0, 5), Fraction(1, 2), True),
+        (QuadExt(3, 0, 5), 4, False),
+        (QuadExt(3, 1, 5), 3, False),
+        (QuadExt(3, 1, 5), Fraction(3), False),
+        # a float is not an exact scalar, whatever its value
+        (QuadExt(1, 0, 5), 1.0, False),
+        (QuadExt(1, 1, 5), 1.0, False),
+    ],
+)
+def test_equality_table(x, y, equal):
+    assert (x == y, y == x, x != y, y != x) == (equal, equal, not equal, not equal)
+    if equal:
+        assert hash(x) == hash(y)
+
+
 @hypothesis.given(rationals, quadexts(disc=2))
 def test_surd_free_values_mix_across_discriminants(r, y):
     # a surd-free value is a rational: it combines with any field, and the
@@ -390,6 +444,17 @@ def test_parse_rejects_garbage():
     for zero_den in ("1/0", "2 - 3/0*sqrt(5)"):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_scalar(zero_den)
+    with pytest.raises(MixedDiscriminant, match=re.escape("mixed surds in 'sqrt(5) + sqrt(2)'")):
+        parse_scalar("sqrt(5) + sqrt(2)")
+
+
+def test_parse_takes_any_spelling_of_a_field():
+    # the terms are summed as QuadExt values, so field identity is by value
+    assert parse_scalar("sqrt(8) + sqrt(2)") == QuadExt(0, 3, 2)
+    assert parse_scalar("0*sqrt(5) + sqrt(2)") == QuadExt(0, 1, 2)
+    assert parse_scalar("sqrt(-1) + sqrt(-4)") == QuadExt(0, 3, -1)
+    assert parse_scalar("1/3 + sqrt(5) + sqrt(45)") == QuadExt(Fraction(1, 3), 4, 5)
+    assert parse_scalar("2*sqrt(12) - 4*sqrt(3)") == 0
 
 
 def test_split_terms():
