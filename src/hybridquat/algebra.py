@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 
-from .scalars import QuadExt, common_discriminant
+from .scalars import QuadExt
 
 
 def structure(unit_products) -> tuple:
@@ -74,7 +74,10 @@ class Element:
         else:
             self._num = tuple([Fraction(v) if isinstance(v, int) else v for v in values])
             self._den = None
-            common_discriminant(self._num)
+            # every surd must lift into the first one's field, as in QuadExt arithmetic
+            surds = [v for v in values if isinstance(v, QuadExt) and v.surd_part]
+            for v in surds[1:]:
+                surds[0]._lift(v)
 
     @classmethod
     def _from_values(cls, values):
@@ -222,22 +225,13 @@ class Element:
 
 def render_coeff(value, unit: str) -> tuple[str, str]:
     """Render one term; returns (sign, body) with sign '+' or '-'."""
-    if isinstance(value, QuadExt) and value.surd_part:
-        if value.rat_part:
-            # mixed coefficient keeps parentheses so the term stays one
-            # factor; a bare scalar term needs none
-            sign = "+"
-            body = f"({value})" if unit else str(value)
-        elif value.surd_part < 0:
-            sign = "-"
-            body = str(-value)
-        else:
-            sign = "+"
-            body = str(value)
+    text = str(value)
+    if " " in text:  # a sum a +- b*sqrt(D), kept one factor before a unit
+        sign, body = "+", f"({text})" if unit else text
+    elif text[0] == "-":  # any other scalar's text starts with its sign
+        sign, body = "-", text[1:]
     else:
-        rat = value.rat_part if isinstance(value, QuadExt) else value
-        sign = "-" if rat < 0 else "+"
-        body = str(abs(rat))
+        sign, body = "+", text
     if unit:
         body = f"{body}*{unit}"
     return sign, body

@@ -24,7 +24,7 @@ from typing import IO, Sequence
 from .audit import CATALOG, DEFAULT_SPAN, REFUTED, audit_all, reports_to_json
 from .errors import HybridQuatError, RationalRoots
 from .hybrid_quaternion import COLUMN_NAMES, HybridQuaternion
-from .scalars import QuadExt, parse_scalar, unlimited_digits
+from .scalars import QuadExt, parse_fraction, parse_scalar, unlimited_digits
 from .sequences import LIFT_TERMS, REGISTRY, BinetData, HoradamParams, Window, binet_data
 
 LIFTS = ("scalar", "hybrid", "quaternion", "hybrid-quaternion")
@@ -48,8 +48,8 @@ def _parse_params(text: str) -> HoradamParams:
     if len(parts) != 4:
         raise UsageError(f"--params needs w0,w1,p,q (got {len(parts)} fields)")
     try:
-        w0, w1, p, q = (Fraction(part.strip()) for part in parts)
-    except (ValueError, ZeroDivisionError) as exc:
+        w0, w1, p, q = (parse_fraction(part.strip()) for part in parts)
+    except ValueError as exc:
         raise UsageError(f"--params: {exc}") from None
     return HoradamParams(w0, w1, p, q)
 
@@ -245,7 +245,3 @@ def _main(argv: Sequence[str] | None) -> int:
     except (UsageError, HybridQuatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -40,9 +40,6 @@ class Hybrid(Element):
     c = property(lambda self: self._coeff(2), doc="eps part")
     d = property(lambda self: self._coeff(3), doc="hh part")
 
-    def is_scalar(self) -> bool:
-        return not any(self._num[1:])
-
     def conj(self) -> "Hybrid":
         return self._negated((1, 2, 3))
 

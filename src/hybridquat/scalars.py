@@ -61,10 +61,6 @@ def unlimited_digits():
         sys.set_int_max_str_digits(saved)
 
 
-def is_perfect_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
-
-
 @lru_cache(maxsize=128)
 def split_square(n: int) -> tuple[int, int]:
     """Split n > 0 as s*s*d with d squarefree; returns (s, d).
@@ -303,7 +299,8 @@ def make_quad_roots(p, q) -> tuple[QuadExt, QuadExt]:
 
     Raises RepeatedRoot when p^2 - 4q = 0 and RationalRoots when the
     discriminant is a nonzero perfect square of a rational (the sequence
-    machinery downstream has nothing to adjoin in that case).
+    machinery downstream has nothing to adjoin in that case); the
+    constructor is what tells the square apart.
     """
     p = _as_fraction(p)
     q = _as_fraction(q)
@@ -311,37 +308,12 @@ def make_quad_roots(p, q) -> tuple[QuadExt, QuadExt]:
     if disc == 0:
         raise RepeatedRoot(f"x^2 - {p}x + {q} has a double root")
     num, den = disc.numerator, disc.denominator
-    if num > 0 and is_perfect_square(num * den):
-        raise RationalRoots(f"x^2 - {p}x + {q} splits over the rationals")
-    # sqrt(num/den) = sqrt(num*den)/den
-    half_root = QuadExt(0, Fraction(1, 2 * den), num * den)
+    try:
+        # sqrt(num/den) = sqrt(num*den)/den
+        half_root = QuadExt(0, Fraction(1, 2 * den), num * den)
+    except RationalRoots:
+        raise RationalRoots(f"x^2 - {p}x + {q} splits over the rationals") from None
     return p / 2 + half_root, p / 2 - half_root
-
-
-def common_discriminant(values) -> int | None:
-    """The single discriminant used by the QuadExt entries of `values`.
-
-    Returns None when no entry is a QuadExt.  Surd-free entries are
-    rationals and fit any field, and so does the discriminant of any
-    surd-carrying entry written over another D of the same field.  Raises
-    MixedDiscriminant when two entries carry surds of different fields;
-    mixing rings is a construction error, not a coercion.
-    """
-    disc: int | None = None
-    field: int | None = None
-    for v in values:
-        if isinstance(v, QuadExt):
-            if disc is None:
-                disc = v.discriminant
-            if not v.surd_part:
-                continue
-            if field is None:
-                field = v.discriminant
-            elif v.discriminant != field and _surd_ratio(v.discriminant, field) is None:
-                raise MixedDiscriminant(
-                    f"coefficients mix sqrt({field}) with sqrt({v.discriminant})"
-                )
-    return disc if field is None else field
 
 
 # -- parsing ------------------------------------------------------------
@@ -406,10 +378,11 @@ def _parse_surd_body(body: str) -> tuple[Fraction, int]:
         head = head[:-1].strip()
     if head in ("", "+", "-"):
         head += "1"
-    return _parse_fraction(head), disc
+    return parse_fraction(head), disc
 
 
-def _parse_fraction(text: str) -> Fraction:
+def parse_fraction(text: str) -> Fraction:
+    """Parse "n" or "n/d"; a zero denominator is a ValueError like any bad text."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -431,7 +404,7 @@ def parse_scalar(text: str):
             coeff, d = _parse_surd_body(body)
             term = QuadExt(0, sign * coeff, d)
         else:
-            term = sign * _parse_fraction(body)
+            term = sign * parse_fraction(body)
         try:
             value = value + term
         except MixedDiscriminant:

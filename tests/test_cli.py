@@ -124,6 +124,17 @@ def test_binet_rejects_rational_roots(cli):
     assert code == 2
     assert out == ""
     assert "rational roots" in err
+    code, out, err = cli(
+        ["seq", "--params", "0,1,3,2", "--from", "0", "--to", "2", "--method", "binet"]
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: rational roots: x^2 - 3x + 2 splits over the rationals\n"
+
+
+def test_params_zero_denominator(cli):
+    code, out, err = cli(["seq", "--params", "0,1/0,1,-1", "--from", "0", "--to", "2"])
+    assert (code, out) == (2, "")
+    assert err == "error: --params: zero denominator in '1/0'\n"
 
 
 def test_negative_range_needs_invertible_q(cli):
@@ -306,6 +317,15 @@ def test_mul_reads_any_spelling_of_a_field(cli):
     code, out, err = cli(["mul"], stdin_text=row + "\n" + IDENTITY_ROW + "\n")
     assert (code, err) == (0, "")
     assert out == "3*sqrt(2)" + ",0" * 15 + "\n"
+
+
+def test_mul_rejects_mixed_fields(cli):
+    row = "sqrt(5),sqrt(2)" + ",0" * 14
+    code, out, err = cli(["mul"], stdin_text=row + "\n" + IDENTITY_ROW + "\n")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: left operand: sqrt(5) and sqrt(2) do not live in a common quadratic field\n"
+    )
 
 
 def test_mul_over_a_large_discriminant_factors_it_once(cli):

@@ -10,6 +10,7 @@ under which hybrid multiplication becomes matrix multiplication and the
 character becomes the determinant.
 """
 
+import re
 from fractions import Fraction
 
 import hypothesis
@@ -177,6 +178,26 @@ def test_mixed_discriminants_rejected():
         Hybrid(QuadExt(0, 1, 5), QuadExt(0, 1, 2), 0, 0)
     with pytest.raises(MixedDiscriminant):
         Hybrid(QuadExt(0, 1, 5), 1, 0, 0) * Hybrid(QuadExt(0, 1, 2), 1, 0, 0)
+    # construction names the fields as arithmetic does
+    message = "sqrt(5) and sqrt(2) do not live in a common quadratic field"
+    with pytest.raises(MixedDiscriminant, match=re.escape(message)):
+        Hybrid(QuadExt(0, 1, 5), QuadExt(0, 1, 2), 0, 0)
+
+
+def test_coefficients_share_one_field():
+    assert all(isinstance(v, Fraction) for v in Hybrid(1, 2, 0, 0).components())
+    assert Hybrid(1, QuadExt(0, 1, 5), 0, 0).b == QuadExt(0, 1, 5)
+    # two fields; test_mixed_discriminants_rejected has the two-entry case
+    with pytest.raises(MixedDiscriminant):
+        Hybrid(QuadExt(1, 0, 3), QuadExt(0, 1, 5), QuadExt(0, 1, 2), 0)
+    # surds that cancel in a sum still fix the field
+    with pytest.raises(MixedDiscriminant):
+        Hybrid(QuadExt(0, 1, 5), QuadExt(0, -1, 5), QuadExt(0, 1, 2), 0)
+    # surd-free entries are rationals and constrain no field
+    root2 = QuadExt(0, 1, 2)
+    assert Hybrid(QuadExt(1, 0, 5), root2, 0, 0) == Hybrid(1, root2, 0, 0)
+    assert Hybrid(root2, QuadExt(7, 0, 5), 0, 0) == Hybrid(root2, 7, 0, 0)
+    assert Hybrid(QuadExt(1, 0, 5), QuadExt(1, 0, 2), 0, 0) == Hybrid(1, 1, 0, 0)
 
 
 def test_int_coefficients_become_fractions():
@@ -199,3 +220,12 @@ def test_rendering():
     assert repr(Hybrid(1, Fraction(1, 2), 0, 0)) == (
         "Hybrid(a=Fraction(1, 1), b=Fraction(1, 2), c=Fraction(0, 1), d=Fraction(0, 1))"
     )
+    # one golden for each shape of coefficient text
+    for coeff, expected in [
+        (QuadExt(0, 2, 5), "2*sqrt(5) + 2*sqrt(5)*hi"),
+        (QuadExt(0, -2, 5), "-2*sqrt(5) - 2*sqrt(5)*hi"),
+        (QuadExt(-1, 2, 5), "-1 + 2*sqrt(5) + (-1 + 2*sqrt(5))*hi"),
+        (QuadExt(Fraction(-3, 2), 0, 5), "-3/2 - 3/2*hi"),
+        (QuadExt(0, 1, -3), "1*sqrt(-3) + 1*sqrt(-3)*hi"),
+    ]:
+        assert str(Hybrid(coeff, coeff, 0, 0)) == expected

@@ -1,6 +1,7 @@
 """Exact-scalar layer: Q(sqrt(D)) arithmetic, root construction, parsing."""
 
 import re
+import sys
 from fractions import Fraction
 
 import hypothesis
@@ -13,14 +14,14 @@ from hybridquat.errors import (
     RationalRoots,
     RepeatedRoot,
 )
+from hybridquat.hybrid import Hybrid
 from hybridquat.scalars import (
     QuadExt,
-    common_discriminant,
-    is_perfect_square,
     make_quad_roots,
     parse_scalar,
     split_square,
     split_terms,
+    unlimited_digits,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
@@ -71,13 +72,6 @@ def test_split_square_at_the_cube_root_stop(p, q):
     if p**3 <= 10**18:
         assert split_square(p**3) == (p, p)
         assert split_square(p * p * q) == (p, q)
-
-
-def test_is_perfect_square():
-    assert is_perfect_square(0)
-    assert is_perfect_square(49)
-    assert not is_perfect_square(48)
-    assert not is_perfect_square(-4)
 
 
 # -- construction and normalization --------------------------------------
@@ -238,7 +232,7 @@ def test_field_identity_past_the_trial_limit():
     assert wide + QuadExt(0, 1, 2 * Q) == QuadExt(0, P + 1, 2 * Q)
     assert QuadExt(0, 1, 2 * Q) * wide == 2 * P * Q
     assert wide - narrow == 0
-    assert common_discriminant([wide, narrow]) == wide.discriminant
+    assert Hybrid(wide, narrow, 0, 0) == Hybrid(narrow, wide, 0, 0)
     assert QuadExt(0, -1, -2 * P * P * Q) == QuadExt(0, -P, -2 * Q)
     assert QuadExt(0, 1, 2 * P * P * Q) != QuadExt(0, -P, 2 * Q)
     with pytest.raises(MixedDiscriminant):
@@ -393,19 +387,6 @@ def test_conjugate_is_multiplicative(pair):
     assert x.conjugate().conjugate() == x
 
 
-def test_common_discriminant():
-    assert common_discriminant([Fraction(1), Fraction(2)]) is None
-    assert common_discriminant([Fraction(1), QuadExt(0, 1, 5)]) == 5
-    with pytest.raises(MixedDiscriminant):
-        common_discriminant([QuadExt(0, 1, 5), QuadExt(0, 1, 2)])
-    with pytest.raises(MixedDiscriminant):
-        common_discriminant([QuadExt(1, 0, 3), QuadExt(0, 1, 5), QuadExt(0, 1, 2)])
-    # surd-free entries are rationals and constrain no field
-    assert common_discriminant([QuadExt(1, 0, 5), QuadExt(0, 1, 2)]) == 2
-    assert common_discriminant([QuadExt(0, 1, 2), QuadExt(7, 0, 5)]) == 2
-    assert common_discriminant([QuadExt(1, 0, 5), QuadExt(1, 0, 2)]) in (5, 2)
-
-
 # -- rendering and parsing ------------------------------------------------
 
 
@@ -472,3 +453,13 @@ def test_parse_round_trip(x):
 @hypothesis.given(rationals)
 def test_parse_round_trip_rational(r):
     assert parse_scalar(str(r)) == r
+
+
+def test_unlimited_digits_on_a_python_without_the_limit(monkeypatch):
+    # Pythons 3.10.0-3.10.6 have neither the limit nor its accessors
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    ran = []
+    with unlimited_digits():
+        ran.append(True)
+    assert ran == [True]
