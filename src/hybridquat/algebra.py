@@ -94,7 +94,8 @@ class Element:
 
     @classmethod
     def _reduced(cls, num: tuple, den: int):
-        g = gcd(*num, den)
+        # den first: math.gcd skips what is left once its running value is 1
+        g = gcd(den, *num)
         if g != 1:
             num = tuple([n // g for n in num])
             den //= g

@@ -25,7 +25,7 @@ from .audit import CATALOG, DEFAULT_SPAN, REFUTED, audit_all, reports_to_json
 from .errors import HybridQuatError, RationalRoots
 from .hybrid_quaternion import COLUMN_NAMES, HybridQuaternion
 from .scalars import QuadExt, parse_fraction, parse_scalar, unlimited_digits
-from .sequences import LIFT_TERMS, REGISTRY, BinetData, HoradamParams, Window, binet_data
+from .sequences import LIFT_TERMS, REGISTRY, HoradamParams, Window, binet_data
 
 LIFTS = ("scalar", "hybrid", "quaternion", "hybrid-quaternion")
 METHODS = ("recurrence", "binet")
@@ -67,22 +67,14 @@ def _resolve_sequence(name: str | None, params_text: str | None) -> HoradamParam
     return REGISTRY[key].params
 
 
-def _rational(value: Fraction | QuadExt) -> Fraction:
-    if isinstance(value, QuadExt):
-        # Binet values of integer-index terms live in Q; a surviving surd
-        # term would mean the evaluator itself is broken.
-        if value.surd_part != 0:
-            raise RuntimeError(f"surd part failed to cancel: {value}")
-        return value.rat_part
-    return value
-
-
-def _binet_row(data: BinetData, lift: str, n: int) -> list[Fraction]:
-    if lift == "scalar":
-        return [_rational(data.scalar(n))]
-    # the evaluators of BinetData are named after the lifts
-    value = getattr(data, lift.replace("-", "_"))(n)
-    return [_rational(c) for c in value.components()]
+def _binet_row(value) -> list[Fraction]:
+    # every coefficient is a QuadExt; at an integer index it lies in Q,
+    # and a surviving surd term would mean the evaluator itself is broken
+    coeffs = [value] if isinstance(value, QuadExt) else value.components()
+    for c in coeffs:
+        if c.surd_part:
+            raise RuntimeError(f"surd part failed to cancel: {c}")
+    return [c.rat_part for c in coeffs]
 
 
 def _recurrence_rows(
@@ -110,10 +102,10 @@ def run_seq(args: argparse.Namespace, out: IO[str]) -> int:
             data = binet_data(args.params)
         except RationalRoots as exc:
             raise UsageError(f"rational roots: {exc}") from None
-        body = [(n, _binet_row(data, args.lift, n)) for n in range(args.lo, args.hi + 1)]
+        values = map(_binet_row, data.table(args.lift, args.lo, args.hi))
     else:
         values = _recurrence_rows(args.params, args.lift, args.lo, args.hi)
-        body = list(zip(range(args.lo, args.hi + 1), values))
+    body = list(zip(range(args.lo, args.hi + 1), values))
     _emit_table(body, _HEADERS[args.lift], args.fmt, out)
     return 0
 

@@ -24,7 +24,11 @@ B = (w0*alpha - w1)/(alpha - beta),
     hat(w)_n   = A*alpha_star*alpha_under*alpha^n + B*beta_star*beta_under*beta^n
 
 where alpha_star = 1 + alpha*hi + alpha^2*eps + alpha^3*hh and
-alpha_under = 1 + alpha*i + alpha^2*j + alpha^3*k.  Everything is exact;
+alpha_under = 1 + alpha*i + alpha^2*j + alpha^3*k.  The parameters are
+rational, so beta = conj(alpha) and B = conj(A) in Q(sqrt(D)), and each
+beta term is the alpha term with every coefficient conjugated: a value
+is v + conj(v) for v = A*alpha^n*R, R being 1 or the lift's alpha factor,
+and a table steps alpha^n by one multiply per row.  Everything is exact;
 the surds cancel against the recurrence values coefficient by
 coefficient.
 """
@@ -197,15 +201,19 @@ def lift_hybrid_quaternion(seq, n: int) -> HybridQuaternion:
     return Window(seq, n, n + 6).hybrid_quaternion(n)
 
 
+def _conjugate(value):
+    """value with every coefficient replaced by its field conjugate."""
+    if isinstance(value, QuadExt):
+        return value.conjugate()
+    return value._from_values([c.conjugate() for c in value.components()])
+
+
 @dataclass(frozen=True)
 class BinetData:
     """The closed-form constants of one parameter set, and the evaluator
-    that uses them.
-
-    Build it once (``binet_data``) and evaluate at as many indices as
-    needed; the two 16-dimensional root products are formed on first use
-    and kept with the instance, never beyond it.
-    """
+    that uses them: build it once (``binet_data``) and evaluate at as
+    many indices as needed.  The 16-dimensional root product is formed
+    on first use and kept with the instance, never beyond it."""
 
     alpha: QuadExt
     beta: QuadExt
@@ -220,40 +228,49 @@ class BinetData:
     def hats(self) -> tuple:
         """alpha_star*alpha_under and beta_star*beta_under as hybrid quaternions."""
         embed_h, embed_q = HybridQuaternion.from_hybrid, HybridQuaternion.from_quaternion
-        return (
-            embed_h(self.alpha_star) * embed_q(self.alpha_under),
-            embed_h(self.beta_star) * embed_q(self.beta_under),
-        )
+        hat = embed_h(self.alpha_star) * embed_q(self.alpha_under)
+        return hat, _conjugate(hat)
+
+    def table(self, lift: str, lo: int, hi: int) -> list:
+        """The lift's values at n = lo .. hi: v + conj(v) for v = t*R, with
+        t = A*alpha^n stepped by one multiply per row."""
+        if lift == "hybrid-quaternion":
+            root = self.hats[0]
+        else:
+            root = {"scalar": 1, "hybrid": self.alpha_star, "quaternion": self.alpha_under}[lift]
+        t = self.A * self.alpha ** lo
+        values = []
+        for n in range(lo, hi + 1):
+            if n > lo:
+                t = t * self.alpha
+            v = t * root
+            values.append(v + _conjugate(v))
+        return values
 
     def scalar(self, n: int) -> QuadExt:
-        return self.A * self.alpha ** n + self.B * self.beta ** n
+        return self.table("scalar", n, n)[0]
 
     def hybrid(self, n: int) -> Hybrid:
-        return self.A * self.alpha ** n * self.alpha_star + self.B * self.beta ** n * self.beta_star
+        return self.table("hybrid", n, n)[0]
 
     def quaternion(self, n: int) -> Quaternion:
-        return self.A * self.alpha ** n * self.alpha_under + self.B * self.beta ** n * self.beta_under
+        return self.table("quaternion", n, n)[0]
 
     def hybrid_quaternion(self, n: int) -> HybridQuaternion:
-        x, y = self.hats
-        return self.A * self.alpha ** n * x + self.B * self.beta ** n * y
+        return self.table("hybrid-quaternion", n, n)[0]
 
 
 def binet_data(seq) -> BinetData:
+    """Roots, weights and root factors, each beta one the conjugate of its alpha one."""
     params = _params(seq)
     alpha, beta = make_quad_roots(params.p, params.q)
-    spread = alpha - beta
-    A = (params.w1 - params.w0 * beta) / spread
-    B = (params.w0 * alpha - params.w1) / spread
+    A = (params.w1 - params.w0 * beta) / (alpha - beta)
+    square = alpha * alpha
+    powers = (1, alpha, square, square * alpha)
+    alpha_star, alpha_under = Hybrid(*powers), Quaternion(*powers)
     return BinetData(
-        alpha=alpha,
-        beta=beta,
-        A=A,
-        B=B,
-        alpha_star=Hybrid(1, alpha, alpha ** 2, alpha ** 3),
-        beta_star=Hybrid(1, beta, beta ** 2, beta ** 3),
-        alpha_under=Quaternion(1, alpha, alpha ** 2, alpha ** 3),
-        beta_under=Quaternion(1, beta, beta ** 2, beta ** 3),
+        alpha, beta, A, A.conjugate(),
+        alpha_star, _conjugate(alpha_star), alpha_under, _conjugate(alpha_under),
     )
 
 

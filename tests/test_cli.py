@@ -355,3 +355,28 @@ def test_module_is_runnable():
     )
     assert proc.returncode == 0
     assert proc.stdout == FIB_CSV
+
+
+@pytest.mark.parametrize("lift", ["scalar", "hybrid", "quaternion", "hybrid-quaternion"])
+def test_binet_table_powers_do_not_grow_with_its_rows(cli, monkeypatch, lift):
+    # each row steps alpha^n by one multiply; no row raises a power of its own
+    import hybridquat.hybrid_quaternion as hybrid_quaternion
+    import hybridquat.scalars as scalars
+
+    calls = []
+    power = scalars.power
+
+    def counting(base, exponent, one):
+        calls.append(exponent)
+        return power(base, exponent, one)
+
+    monkeypatch.setattr(scalars, "power", counting)
+    monkeypatch.setattr(hybrid_quaternion, "power", counting)
+    counts = []
+    for hi in ("4", "994"):  # 10 rows, then 1000
+        calls.clear()
+        argv = ["seq", "--sequence", "fibonacci", "--from", "-5", "--to", hi]
+        code, out, err = cli(argv + ["--lift", lift, "--method", "binet"])
+        assert code == 0 and out.count("\n") == 1 + int(hi) + 6
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2

@@ -13,6 +13,7 @@ from hybridquat.errors import (
     RepeatedRoot,
 )
 from hybridquat.hybrid import Hybrid
+from hybridquat.hybrid_quaternion import HybridQuaternion
 from hybridquat.quaternion import Quaternion
 from hybridquat.scalars import QuadExt
 from hybridquat.sequences import (
@@ -320,3 +321,82 @@ def test_binet_data_is_a_plain_record():
     assert data.alpha != data.beta
     assert data.alpha + data.beta == 1  # alpha + beta = p
     assert data.alpha * data.beta == -1  # alpha * beta = q
+
+
+# -- Binet from the alpha half ---------------------------------------------
+
+BINET_LIFTS = ("scalar", "hybrid", "quaternion", "hybrid-quaternion")
+SMALL_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def _irrational_binet_data(w0, w1, p, q):
+    try:
+        return binet_data(HoradamParams(w0, w1, p, q))
+    except (RationalRoots, RepeatedRoot):
+        hypothesis.reject()
+
+
+def _root_factors(r):
+    """1, r_star, r_under and r_star*r_under, built from the root alone."""
+    star, under = Hybrid(1, r, r ** 2, r ** 3), Quaternion(1, r, r ** 2, r ** 3)
+    hat = HybridQuaternion.from_hybrid(star) * HybridQuaternion.from_quaternion(under)
+    return dict(zip(BINET_LIFTS, (1, star, under, hat)))
+
+
+@hypothesis.settings(max_examples=8, deadline=None)
+@hypothesis.given(SMALL_RATIONALS, SMALL_RATIONALS, SMALL_RATIONALS, SMALL_RATIONALS)
+def test_binet_evaluators_equal_both_literal_halves(w0, w1, p, q):
+    data = _irrational_binet_data(w0, w1, p, q)
+    alpha, beta = data.alpha, data.beta
+    assert data.B == (w0 * alpha - w1) / (alpha - beta)
+    alpha_factors, beta_factors = _root_factors(alpha), _root_factors(beta)
+    assert data.beta_star == beta_factors["hybrid"]
+    assert data.beta_under == beta_factors["quaternion"]
+    assert list(data.hats) == [alpha_factors["hybrid-quaternion"], beta_factors["hybrid-quaternion"]]
+    for lift in BINET_LIFTS:
+        one_row = getattr(data, lift.replace("-", "_"))
+        rows = data.table(lift, -60, 60)
+        for n, row in zip(range(-60, 61), rows):
+            literal = (
+                data.A * alpha ** n * alpha_factors[lift]
+                + data.B * beta ** n * beta_factors[lift]
+            )
+            # equal down to the scalar type of every coefficient
+            assert repr(row) == repr(one_row(n)) == repr(literal)
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(
+    SMALL_RATIONALS,
+    SMALL_RATIONALS,
+    SMALL_RATIONALS,
+    SMALL_RATIONALS,
+    st.integers(min_value=-80, max_value=-1),
+    st.integers(min_value=0, max_value=30),
+    st.sampled_from(BINET_LIFTS),
+)
+def test_binet_table_rows_from_a_negative_start_are_the_per_n_values(
+    w0, w1, p, q, lo, width, lift
+):
+    data = _irrational_binet_data(w0, w1, p, q)
+    one_row = getattr(data, lift.replace("-", "_"))
+    rows = data.table(lift, lo, lo + width)
+    assert rows == [one_row(n) for n in range(lo, lo + width + 1)]
+
+
+def test_binet_root_product_is_formed_once(monkeypatch):
+    products = []
+    multiply = HybridQuaternion.__mul__
+
+    def counting(x, y):
+        if isinstance(y, HybridQuaternion):
+            products.append((x, y))
+        return multiply(x, y)
+
+    monkeypatch.setattr(HybridQuaternion, "__mul__", counting)
+    data = binet_data(FIBONACCI)
+    x, y = data.hats
+    assert len(products) == 1
+    monkeypatch.undo()
+    embed_h, embed_q = HybridQuaternion.from_hybrid, HybridQuaternion.from_quaternion
+    assert y == embed_h(data.beta_star) * embed_q(data.beta_under)
