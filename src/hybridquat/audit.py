@@ -27,7 +27,7 @@ verdict either way.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import MixedDiscriminant, RationalRoots, RepeatedRoot
 from .hybrid_quaternion import HybridQuaternion
@@ -70,22 +70,15 @@ AUDIT_SEQUENCES = (
 )
 
 
-@dataclass(frozen=True)
-class FirstFailure:
-    n: int
-    lhs: str
-    rhs: str
-    residual: str
+FirstFailure = namedtuple("FirstFailure", "n lhs rhs residual")
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity_id: str
-    sequence: object  # SequenceId or HoradamParams
-    span: tuple
-    status: str
-    error: str | None = None
-    first_failure: FirstFailure | None = None
+# sequence is a SequenceId or HoradamParams; first_failure a FirstFailure
+_REPORT_FIELDS = "identity_id sequence span status error first_failure"
+
+
+class IdentityReport(namedtuple("IdentityReport", _REPORT_FIELDS, defaults=(None, None))):
+    __slots__ = ()
 
     def status_label(self) -> str:
         if self.status == UNEVALUABLE:
@@ -93,20 +86,12 @@ class IdentityReport:
         return self.status
 
     def to_dict(self) -> dict:
-        failure = None
-        if self.first_failure is not None:
-            failure = {
-                "n": self.first_failure.n,
-                "lhs": self.first_failure.lhs,
-                "rhs": self.first_failure.rhs,
-                "residual": self.first_failure.residual,
-            }
         return {
             "identity": self.identity_id,
             "sequence": self.sequence.label(),
             "range": [self.span[0], self.span[1]],
             "status": self.status_label(),
-            "first_failure": failure,
+            "first_failure": self.first_failure and self.first_failure._asdict(),
         }
 
 

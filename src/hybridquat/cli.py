@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import IO, Sequence
 
 from .audit import CATALOG, DEFAULT_SPAN, REFUTED, audit_all, reports_to_json
 from .errors import HybridQuatError, RationalRoots
@@ -85,7 +84,7 @@ def _recurrence_rows(
 
 
 def _emit_table(
-    rows: list[tuple[int, list[Fraction]]], header: tuple[str, ...], fmt: str, out: IO[str]
+    rows: list[tuple[int, list[Fraction]]], header: tuple[str, ...], fmt: str, out
 ) -> None:
     if fmt == "csv":
         out.write(",".join(("n",) + header) + "\n")
@@ -96,7 +95,7 @@ def _emit_table(
         out.write(json.dumps(payload, indent=2) + "\n")
 
 
-def run_seq(args: argparse.Namespace, out: IO[str]) -> int:
+def run_seq(args: argparse.Namespace, out) -> int:
     if args.method == "binet":
         try:
             data = binet_data(args.params)
@@ -110,7 +109,7 @@ def run_seq(args: argparse.Namespace, out: IO[str]) -> int:
     return 0
 
 
-def run_audit(args: argparse.Namespace, out: IO[str]) -> int:
+def run_audit(args: argparse.Namespace, out) -> int:
     span = (args.lo, args.hi)
     if args.identity is None:
         reports = audit_all(span)
@@ -130,14 +129,22 @@ def _read_operand(line: str, which: str) -> HybridQuaternion:
     fields = line.split(",")
     if len(fields) != 16:
         raise UsageError(f"{which} operand: expected 16 coefficients, got {len(fields)}")
+    coeffs, surds = [], []
     try:
-        coeffs = tuple(parse_scalar(field.strip()) for field in fields)
+        for field in fields:
+            c = parse_scalar(field.strip())
+            if isinstance(c, QuadExt) and c.surd_part:
+                # every surd must lift into the first one's field; stop at the
+                # first that does not, before parsing (and factoring) the rest
+                surds.append(c)
+                surds[0]._lift(c)
+            coeffs.append(c)
         return HybridQuaternion(coeffs)
     except (ValueError, HybridQuatError) as exc:
         raise UsageError(f"{which} operand: {exc}") from None
 
 
-def run_mul(args: argparse.Namespace, stdin: IO[str], out: IO[str]) -> int:
+def run_mul(args: argparse.Namespace, stdin, out) -> int:
     lines = [line for line in (raw.strip() for raw in stdin) if line]
     if len(lines) != 2:
         raise UsageError(f"mul needs exactly two operand lines, got {len(lines)}")
@@ -214,16 +221,23 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+# (builder, parser): one parser per process, built on first use and again
+# only if build_parser is rebound (say, wrapped for timing)
+_parser = (None, None)
+
+
+def main(argv: list[str] | None = None) -> int:
     # exact values of any size are parsed and printed in full
     with unlimited_digits():
         return _main(argv)
 
 
-def _main(argv: Sequence[str] | None) -> int:
-    parser = build_parser()
+def _main(argv: list[str] | None) -> int:
+    global _parser
+    if _parser[0] is not build_parser:
+        _parser = (build_parser, build_parser())
     try:
-        args = parser.parse_args(argv)
+        args = _parser[1].parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)

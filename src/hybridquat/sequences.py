@@ -35,7 +35,7 @@ coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -46,27 +46,20 @@ from .quaternion import Quaternion
 from .scalars import QuadExt, _as_fraction, make_quad_roots
 
 
-@dataclass(frozen=True)
-class HoradamParams:
-    w0: Fraction
-    w1: Fraction
-    p: Fraction
-    q: Fraction
+class HoradamParams(namedtuple("HoradamParams", "w0 w1 p q")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("w0", "w1", "p", "q"):
-            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
+    def __new__(cls, w0, w1, p, q):
+        return super().__new__(cls, *map(_as_fraction, (w0, w1, p, q)))
 
     def label(self) -> str:
         return f"w({self.w0},{self.w1};{self.p},{self.q})"
 
 
-@dataclass(frozen=True)
-class SequenceId:
+class SequenceId(namedtuple("SequenceId", "name params")):
     """A named Horadam instance; the name is part of the identity."""
 
-    name: str
-    params: HoradamParams
+    __slots__ = ()
 
     def label(self) -> str:
         return self.name
@@ -139,9 +132,10 @@ def window(seq, lo: int, hi: int) -> list:
         raise NegativeIndexWithZeroQ(
             f"{params.label()} cannot run backwards: q = 0"
         )
+    p, q = params.p, params.q
     terms = list(_jump(params, lo))
     while len(terms) <= hi - lo:
-        terms.append(params.p * terms[-1] - params.q * terms[-2])
+        terms.append(p * terms[-1] - q * terms[-2])
     return terms[: hi - lo + 1]
 
 
@@ -208,21 +202,14 @@ def _conjugate(value):
     return value._from_values([c.conjugate() for c in value.components()])
 
 
-@dataclass(frozen=True)
-class BinetData:
+# no __slots__: cached_property keeps hats in the instance __dict__
+class BinetData(
+    namedtuple("BinetData", "alpha beta A B alpha_star beta_star alpha_under beta_under")
+):
     """The closed-form constants of one parameter set, and the evaluator
     that uses them: build it once (``binet_data``) and evaluate at as
     many indices as needed.  The 16-dimensional root product is formed
     on first use and kept with the instance, never beyond it."""
-
-    alpha: QuadExt
-    beta: QuadExt
-    A: QuadExt
-    B: QuadExt
-    alpha_star: Hybrid
-    beta_star: Hybrid
-    alpha_under: Quaternion
-    beta_under: Quaternion
 
     @cached_property
     def hats(self) -> tuple:

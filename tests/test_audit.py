@@ -387,3 +387,24 @@ def test_default_span():
 def test_report_is_frozen(full_audit):
     with pytest.raises(AttributeError):
         full_audit[0].status = "REFUTED"
+    with pytest.raises(AttributeError):
+        next(r for r in full_audit if r.first_failure).first_failure.n = 0
+
+
+def test_report_repr_hash_and_tuple_equality():
+    (report,) = CATALOG["Thm3.1.iii"]((0, 3))
+    assert repr(report) == (
+        "IdentityReport(identity_id='Thm3.1.iii', sequence=SequenceId(name='Fibonacci', "
+        "params=HoradamParams(w0=Fraction(0, 1), w1=Fraction(1, 1), p=Fraction(1, 1), "
+        "q=Fraction(-1, 1))), span=(0, 3), status='REFUTED', error=None, "
+        "first_failure=FirstFailure(n=0, lhs='-11*1*1 - 16*i*1 - 27*j*1 - 43*k*1', "
+        "rhs='3*1*1 + 6*i*1 + 9*j*1 + 15*k*1', residual='-14*1*1 - 22*i*1 - 36*j*1 - 58*k*1'))"
+    )
+    (again,) = CATALOG["Thm3.1.iii"]((0, 3))
+    assert again is not report and again == report and hash(again) == hash(report)
+    assert report != CATALOG["Thm3.1.iii"]((0, 4))[0]
+    # a namedtuple compares as the tuple of its fields
+    failure = tuple(report.first_failure)
+    assert report == ("Thm3.1.iii", FIBONACCI, (0, 3), "REFUTED", None, failure)
+    verified = IdentityReport("x", FIBONACCI, (0, 1), "VERIFIED")
+    assert verified == ("x", FIBONACCI, (0, 1), "VERIFIED", None, None)

@@ -10,12 +10,17 @@ from __future__ import annotations
 import decimal
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hybridquat.cli
 from hybridquat.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 FIB_CSV = "n,w\n0,0\n1,1\n2,1\n3,2\n4,3\n5,5\n6,8\n7,13\n"
 
@@ -328,6 +333,29 @@ def test_mul_rejects_mixed_fields(cli):
     )
 
 
+def test_mul_stops_at_the_first_field_outside_the_first_surds_field(cli):
+    # each surd factors its D (0.1 s near 10**18); a line of 16 distinct
+    # primes is rejected after the second, without parsing the other 14
+    from hybridquat.scalars import split_square
+
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+    row = ",".join(f"sqrt({d})" for d in primes)
+    split_square.cache_clear()
+    code, out, err = cli(["mul"], stdin_text="1" + ",7" * 15 + "\n" + row + "\n")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: right operand: sqrt(2) and sqrt(3) do not live in a common quadratic field\n"
+    )
+    assert split_square.cache_info().misses == 2
+    # rationals and the first surd's own field pass; a fault ends the line
+    # at the first field that has one
+    row = "1/2,sqrt(8),2 - sqrt(2),sqrt(3),1/0" + ",0" * 11
+    code, _, err = cli(["mul"], stdin_text=row + "\n" + IDENTITY_ROW + "\n")
+    assert (code, err) == (
+        2, "error: left operand: sqrt(2) and sqrt(3) do not live in a common quadratic field\n"
+    )
+
+
 def test_mul_over_a_large_discriminant_factors_it_once(cli):
     # D < 10**18 is prime: every field would repeat the trial division
     from hybridquat.scalars import split_square
@@ -355,6 +383,53 @@ def test_module_is_runnable():
     )
     assert proc.returncode == 0
     assert proc.stdout == FIB_CSV
+
+
+def _fresh_process(args, stdin_text=""):
+    return subprocess.run(
+        [sys.executable, *args],
+        input=stdin_text,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+
+
+def test_one_parser_serves_every_call_in_a_process(cli, monkeypatch):
+    # the parser is built on the first call and reused; reuse leaks
+    # nothing from one call into the next
+    built = []
+    build = hybridquat.cli.build_parser
+
+    def counting():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(hybridquat.cli, "build_parser", counting)
+    calls = [
+        (2, ["seq", "--sequence", "fibonacci", "--from", "0", "--to", "3",
+             "--lift", "octonion"], ""),
+        (0, ["seq", "--params", "2,1,1,-1", "--from", "-2", "--to", "2", "--lift", "hybrid"], ""),
+        (1, ["audit", "--identity", "Thm3.1.iii"], ""),
+        (0, ["mul", "--format", "json"], I_HI_ROW + "\n" + EPS_ROW + "\n"),
+    ]
+    for want, argv, stdin_text in calls:
+        code, out, err = cli(argv, stdin_text=stdin_text)
+        fresh = _fresh_process(["-m", "hybridquat", *argv], stdin_text)
+        assert code == want
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert len(built) == 1
+
+
+def test_import_leaves_dataclasses_inspect_and_typing_unloaded():
+    # -S: a site hook may load typing before the package is imported
+    probe = (
+        "import sys, hybridquat.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    done = _fresh_process(["-S", "-c", probe])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize("lift", ["scalar", "hybrid", "quaternion", "hybrid-quaternion"])

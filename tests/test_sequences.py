@@ -323,6 +323,56 @@ def test_binet_data_is_a_plain_record():
     assert data.alpha * data.beta == -1  # alpha * beta = q
 
 
+FIB_PARAMS_REPR = (
+    "HoradamParams(w0=Fraction(0, 1), w1=Fraction(1, 1), p=Fraction(1, 1), q=Fraction(-1, 1))"
+)
+FIB_BINET_REPR = (
+    "BinetData(alpha=QuadExt(Fraction(1, 2), Fraction(1, 2), 5), "
+    "beta=QuadExt(Fraction(1, 2), Fraction(-1, 2), 5), "
+    "A=QuadExt(Fraction(0, 1), Fraction(1, 5), 5), "
+    "B=QuadExt(Fraction(0, 1), Fraction(-1, 5), 5), "
+    "alpha_star=Hybrid(a=Fraction(1, 1), b=QuadExt(Fraction(1, 2), Fraction(1, 2), 5), "
+    "c=QuadExt(Fraction(3, 2), Fraction(1, 2), 5), "
+    "d=QuadExt(Fraction(2, 1), Fraction(1, 1), 5)), "
+    "beta_star=Hybrid(a=Fraction(1, 1), b=QuadExt(Fraction(1, 2), Fraction(-1, 2), 5), "
+    "c=QuadExt(Fraction(3, 2), Fraction(-1, 2), 5), "
+    "d=QuadExt(Fraction(2, 1), Fraction(-1, 1), 5)), "
+    "alpha_under=Quaternion(z0=Fraction(1, 1), z1=QuadExt(Fraction(1, 2), Fraction(1, 2), 5), "
+    "z2=QuadExt(Fraction(3, 2), Fraction(1, 2), 5), "
+    "z3=QuadExt(Fraction(2, 1), Fraction(1, 1), 5)), "
+    "beta_under=Quaternion(z0=Fraction(1, 1), z1=QuadExt(Fraction(1, 2), Fraction(-1, 2), 5), "
+    "z2=QuadExt(Fraction(3, 2), Fraction(-1, 2), 5), "
+    "z3=QuadExt(Fraction(2, 1), Fraction(-1, 1), 5)))"
+)
+
+
+def test_records_are_frozen_value_tuples():
+    # the records are namedtuples: repr, == and hash by value, read-only
+    # fields, and, being tuples, equal to a plain tuple of their fields
+    params = HoradamParams(w0=0, w1=1, p=Fraction(2, 2), q=-1)
+    assert [type(v) for v in params] == [Fraction] * 4
+    assert repr(params) == FIB_PARAMS_REPR
+    assert repr(FIBONACCI) == f"SequenceId(name='Fibonacci', params={FIB_PARAMS_REPR})"
+    data = binet_data(params)
+    assert repr(data) == FIB_BINET_REPR
+    same = (
+        (params, FIBONACCI.params),
+        (SequenceId("Fibonacci", params), FIBONACCI),
+        (data, binet_data(FIBONACCI)),
+    )
+    for record, other in same:
+        assert record is not other and record == other and hash(record) == hash(other)
+    assert params != LUCAS.params and SequenceId("Fib", params) != FIBONACCI
+    assert data != binet_data(LUCAS)
+    for record, field in ((params, "q"), (FIBONACCI, "name"), (data, "alpha")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 2)
+    # a namedtuple compares as the tuple of its fields
+    assert FIBONACCI.params == (0, 1, 1, -1) and hash(FIBONACCI.params) == hash((0, 1, 1, -1))
+    assert FIBONACCI == ("Fibonacci", (0, 1, 1, -1))
+    assert data.hats is data.hats and "hats" in vars(data)
+
+
 # -- Binet from the alpha half ---------------------------------------------
 
 BINET_LIFTS = ("scalar", "hybrid", "quaternion", "hybrid-quaternion")
