@@ -8,6 +8,14 @@ agreement is genuine confirmation and a disagreement produces an exact
 witness: the smallest failing index together with both values and their
 difference in the canonical 16-term rendering.
 
+Closed forms use three exact identities instead of multiplying factor by
+factor: the hybrid and quaternion embeddings are homomorphisms, hybrid
+factors commute with quaternion factors, and conjugating every
+coefficient in Q(sqrt(D)) is multiplicative (the structure constants are
+rational).  So each beta half is its alpha half conjugated, and a Cassini
+chain is one product of a hybrid pair by a quaternion pair, each pair
+multiplied in its printed order.
+
 Each catalog id declares an order bound r: coefficient by coefficient,
 both sides of each of its checks satisfy one linear recurrence of order
 at most r with constant coefficients (they are C-finite in n).  So does
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from operator import add, sub
 
 from .errors import MixedDiscriminant, RationalRoots, RepeatedRoot
 from .hybrid_quaternion import HybridQuaternion
@@ -43,6 +52,7 @@ from .sequences import (
     PELL_LUCAS,
     HoradamParams,
     Window,
+    _conjugate,
     binet_data,
     generalized_fibonacci,
     generalized_lucas,
@@ -108,8 +118,9 @@ def _validate_span(span) -> tuple:
     return lo, hi
 
 
-def _sign(n: int) -> int:
-    return 1 if n % 2 == 0 else -1
+def _signed(n: int, value):
+    """(-1)^n * value."""
+    return value if n % 2 == 0 else -value
 
 
 def _scan(identity_id, sequence, span, values_fn, order) -> IdentityReport:
@@ -194,19 +205,24 @@ def _binet(seq):
 # ii: hat(L)_n = alpha_star alpha_under alpha^n + beta_star beta_under beta^n
 
 
+def _root_form(data, n, combine):
+    """combine(alpha^n x, beta^n y) for (x, y) = data.hats, the second
+    taken as the first conjugated: y = conj(x) and beta = conj(alpha)."""
+    v = data.alpha ** n * data.hats[0]
+    return combine(v, _conjugate(v))
+
+
 def _literal_binet_fibonacci(s):
     data = s.once(binet_data, FIBONACCI)
-    x, y = data.hats
     inv_spread = (data.alpha - data.beta).inverse()
     hat = s.lifts(FIBONACCI).hybrid_quaternion
-    return lambda n: [hat(n), inv_spread * (data.alpha ** n * x - data.beta ** n * y)]
+    return lambda n: [hat(n), inv_spread * _root_form(data, n, sub)]
 
 
 def _literal_binet_lucas(s):
     data = s.once(binet_data, FIBONACCI)
-    x, y = data.hats
     lucas_hat = s.lifts(LUCAS).hybrid_quaternion
-    return lambda n: [lucas_hat(n), data.alpha ** n * x + data.beta ** n * y]
+    return lambda n: [lucas_hat(n), _root_form(data, n, add)]
 
 
 # -- Fibonacci hybrid quaternion relations ----------------------------------
@@ -301,34 +317,27 @@ def _total_conjugate_breve(s):
 
 
 def _cassini_bracket(p, q):
-    """alpha alpha* beta* alpha_under beta_under - beta beta* alpha* beta_under alpha_under,
-    factors multiplied strictly in the printed order."""
+    """1/(alpha - beta) and the bracket
+    alpha alpha* beta* alpha_under beta_under - beta beta* alpha* beta_under alpha_under.
+
+    The embeddings are homomorphisms and hybrid factors commute with
+    quaternion factors, so the first chain is embed(alpha* beta*) times
+    embed(alpha_under beta_under), each pair in printed order; conjugation
+    is multiplicative, so the second chain is the first conjugated and the
+    bracket is v - conj(v) for v = alpha*first."""
     data = binet_data(HoradamParams(0, 1, p, q))
-    embed_h = HybridQuaternion.from_hybrid
-    embed_q = HybridQuaternion.from_quaternion
-    first = (
-        embed_h(data.alpha_star)
-        * embed_h(data.beta_star)
-        * embed_q(data.alpha_under)
-        * embed_q(data.beta_under)
-    )
-    second = (
-        embed_h(data.beta_star)
-        * embed_h(data.alpha_star)
-        * embed_q(data.beta_under)
-        * embed_q(data.alpha_under)
-    )
-    return (data.alpha - data.beta).inverse(), data.alpha * first - data.beta * second
+    embed_h, embed_q = HybridQuaternion.from_hybrid, HybridQuaternion.from_quaternion
+    first = embed_h(data.alpha_star * data.beta_star) * embed_q(data.alpha_under * data.beta_under)
+    v = data.alpha * first
+    return (data.alpha - data.beta).inverse(), v - _conjugate(v)
 
 
 def _cassini_fibonacci(p, q):
     def prepare(s):
         inv_spread, bracket = s.once(_cassini_bracket, p, q)
+        scaled = inv_spread * bracket
         hat = s.lifts(FIBONACCI).hybrid_quaternion
-        return lambda n: [
-            hat(n + 1) * hat(n - 1) - hat(n) * hat(n),
-            (_sign(n) * inv_spread) * bracket,
-        ]
+        return lambda n: [hat(n + 1) * hat(n - 1) - hat(n) * hat(n), _signed(n, scaled)]
 
     return prepare
 
@@ -337,7 +346,7 @@ def _cassini_lucas(p, q):
     def prepare(s):
         scaled = QuadExt(0, 1, 5) * s.once(_cassini_bracket, p, q)[1]
         hat = s.lifts(LUCAS).hybrid_quaternion
-        return lambda n: [hat(n + 1) * hat(n - 1) - hat(n) * hat(n), _sign(n) * scaled]
+        return lambda n: [hat(n + 1) * hat(n - 1) - hat(n) * hat(n), _signed(n, scaled)]
 
     return prepare
 

@@ -4,6 +4,9 @@ A Horadam sequence w_n(w0, w1; p, q) obeys w_n = p*w_{n-1} - q*w_{n-2},
 that is (w_n, w_{n+1}) = [[0, 1], [-q, p]] (w_{n-1}, w_n).  A window
 w_lo .. w_hi jumps to its start with a power of that step matrix (of its
 inverse for lo < 0, which needs q != 0) and walks forward from there.
+Both run on ints over one denominator: the matrix, the start values and
+p, q are each written as ints over the lcm of their denominators, and one
+Fraction is built per returned term.
 Lifts place windows of consecutive terms on the hybrid, quaternion and
 hybrid-quaternion bases:
 
@@ -28,9 +31,9 @@ alpha_under = 1 + alpha*i + alpha^2*j + alpha^3*k.  The parameters are
 rational, so beta = conj(alpha) and B = conj(A) in Q(sqrt(D)), and each
 beta term is the alpha term with every coefficient conjugated: a value
 is v + conj(v) for v = A*alpha^n*R, R being 1 or the lift's alpha factor,
-and a table steps alpha^n by one multiply per row.  Everything is exact;
-the surds cancel against the recurrence values coefficient by
-coefficient.
+so each coefficient is 2*rat(v) and the surd half of v is never formed.
+A table steps alpha^n by one multiply per row.  Everything is exact, and
+every value agrees with the recurrence coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import NegativeIndexWithZeroQ
 from .hybrid import Hybrid
@@ -104,27 +108,33 @@ def _params(seq) -> HoradamParams:
     return seq.params if isinstance(seq, SequenceId) else seq
 
 
+def _over_one_denominator(values) -> tuple:
+    """(ints, m): the rationals as ints over m, the lcm of their denominators."""
+    m = lcm(*(v.denominator for v in values))
+    return [v.numerator * (m // v.denominator) for v in values], m
+
+
 def _jump(params: HoradamParams, n: int) -> tuple:
-    """(w_n, w_{n+1}) from (w_0, w_1): the step matrix [[0, 1], [-q, p]],
-    or for n < 0 its inverse [[p/q, -1/q], [1, 0]], raised to the power
-    |n| by repeated squaring and applied to (w_0, w_1)."""
+    """(a, b, d) with w_n = a/d, w_{n+1} = b/d: the step matrix [[0, 1], [-q, p]]
+    (for n < 0 its inverse [[p/q, -1/q], [1, 0]]) as ints over m, raised to
+    the power |n| by repeated squaring and applied to (w_0, w_1) over theirs."""
     p, q = params.p, params.q
-    step = ((0, 1), (-q, p)) if n >= 0 else ((p / q, -1 / q), (1, 0))
-    a, b = params.w0, params.w1
+    (s, t, u, v), m = _over_one_denominator((0, 1, -q, p) if n >= 0 else (p / q, -1 / q, 1, 0))
+    (a, b), d = _over_one_denominator((params.w0, params.w1))
     k = abs(n)
     while k:
-        (s, t), (u, v) = step
         if k & 1:
             a, b = s * a + t * b, u * a + v * b
         k >>= 1
         if k:
-            step = ((s * s + t * u, s * t + t * v), (u * s + v * u, u * t + v * v))
-    return a, b
+            s, t, u, v = s * s + t * u, s * t + t * v, u * s + v * u, u * t + v * v
+    return a, b, d * m ** abs(n)
 
 
 def window(seq, lo: int, hi: int) -> list:
     """Exact values w_lo .. w_hi: jump to (w_lo, w_{lo+1}) in O(log |lo|)
-    matrix squarings, then walk forward, keeping only the window's terms."""
+    squarings, then walk on ints: with p = P/c, q = Q/c, T_j = w_{lo+j}*d*c^j
+    obeys T_{j+1} = P*T_j - Q*c*T_{j-1}.  Only the window's terms are kept."""
     params = _params(seq)
     if lo > hi:
         raise ValueError("empty index window")
@@ -132,11 +142,12 @@ def window(seq, lo: int, hi: int) -> list:
         raise NegativeIndexWithZeroQ(
             f"{params.label()} cannot run backwards: q = 0"
         )
-    p, q = params.p, params.q
-    terms = list(_jump(params, lo))
-    while len(terms) <= hi - lo:
-        terms.append(p * terms[-1] - q * terms[-2])
-    return terms[: hi - lo + 1]
+    a, b, d = _jump(params, lo)
+    (P, Q), c = _over_one_denominator((params.p, params.q))
+    ints, Q = [a, b * c], Q * c
+    while len(ints) <= hi - lo:
+        ints.append(P * ints[-1] - Q * ints[-2])
+    return [Fraction(t, d * c ** j) for j, t in enumerate(ints[: hi - lo + 1])]
 
 
 def horadam(seq, n: int) -> Fraction:
@@ -219,19 +230,24 @@ class BinetData(
         return hat, _conjugate(hat)
 
     def table(self, lift: str, lo: int, hi: int) -> list:
-        """The lift's values at n = lo .. hi: v + conj(v) for v = t*R, with
-        t = A*alpha^n stepped by one multiply per row."""
-        if lift == "hybrid-quaternion":
-            root = self.hats[0]
-        else:
-            root = {"scalar": 1, "hybrid": self.alpha_star, "quaternion": self.alpha_under}[lift]
+        """The lift's values at n = lo .. hi, with t = A*alpha^n stepped by
+        one multiply per row.  A value is v + conj(v) for v = t*R, that is
+        2*rat(t*c) for each coefficient c of R: only that rational half is
+        formed, as a QuadExt with zero surd part."""
+        roots = {"scalar": None, "hybrid": self.alpha_star, "quaternion": self.alpha_under}
+        root = self.hats[0] if lift == "hybrid-quaternion" else roots[lift]
+        coeffs = (1,) if root is None else root.components()
+        parts = [(c.rat_part, c.surd_part) if isinstance(c, QuadExt) else (c, 0) for c in coeffs]
+        d, zero = self.alpha.discriminant, Fraction(0)
         t = self.A * self.alpha ** lo
         values = []
         for n in range(lo, hi + 1):
             if n > lo:
                 t = t * self.alpha
-            v = t * root
-            values.append(v + _conjugate(v))
+            # 2*rat(t*c) = 2*rat(t)*rat(c) + 2*d*surd(t)*surd(c)
+            a, b = 2 * t.rat_part, 2 * d * t.surd_part
+            row = [QuadExt._new(a * x + b * y, zero, d) for x, y in parts]
+            values.append(row[0] if root is None else root._from_values(row))
         return values
 
     def scalar(self, n: int) -> QuadExt:

@@ -6,6 +6,7 @@ auditor must reproduce them exactly.
 """
 
 import json
+from operator import add, sub
 
 import hypothesis
 import hypothesis.strategies as st
@@ -20,6 +21,8 @@ from hybridquat.audit import (
     IdentityReport,
     _Identity,
     _Scans,
+    _cassini_bracket,
+    _root_form,
     audit_all,
     check_binet,
     check_cassini,
@@ -30,7 +33,15 @@ from hybridquat.audit import (
 )
 from hybridquat.errors import MixedDiscriminant, RationalRoots, RepeatedRoot
 from hybridquat.hybrid_quaternion import HybridQuaternion
-from hybridquat.sequences import FIBONACCI, JACOBSTHAL, LUCAS, MERSENNE, horadam
+from hybridquat.sequences import (
+    FIBONACCI,
+    JACOBSTHAL,
+    LUCAS,
+    MERSENNE,
+    HoradamParams,
+    binet_data,
+    horadam,
+)
 
 SPAN = (-10, 30)
 
@@ -163,6 +174,64 @@ def test_scalar_cassini_sanity():
             FIBONACCI, n
         ) ** 2
         assert lhs == (1 if n % 2 == 0 else -1)
+
+
+# -- closed forms against their literal readings --------------------------------
+
+
+def _printed_order_bracket(p, q):
+    """The Cassini bracket alpha alpha* beta* alpha_under beta_under -
+    beta beta* alpha* beta_under alpha_under as printed: six 16-dim
+    products, the factors of each chain multiplied strictly left to right."""
+    data = binet_data(HoradamParams(0, 1, p, q))
+    embed_h, embed_q = HybridQuaternion.from_hybrid, HybridQuaternion.from_quaternion
+    first = (
+        embed_h(data.alpha_star)
+        * embed_h(data.beta_star)
+        * embed_q(data.alpha_under)
+        * embed_q(data.beta_under)
+    )
+    second = (
+        embed_h(data.beta_star)
+        * embed_h(data.alpha_star)
+        * embed_q(data.beta_under)
+        * embed_q(data.alpha_under)
+    )
+    return (data.alpha - data.beta).inverse(), data.alpha * first - data.beta * second
+
+
+def _assert_closed_forms_are_literal(p, q, ns):
+    """The Cassini bracket and the Thm 3.4 forms alpha^n x -+ beta^n y,
+    x and y built from their own root factors, equal down to every
+    coefficient's repr."""
+    assert repr(_cassini_bracket(p, q)) == repr(_printed_order_bracket(p, q))
+    data = binet_data(HoradamParams(0, 1, p, q))
+    embed_h, embed_q = HybridQuaternion.from_hybrid, HybridQuaternion.from_quaternion
+    x = embed_h(data.alpha_star) * embed_q(data.alpha_under)
+    y = embed_h(data.beta_star) * embed_q(data.beta_under)
+    for n in ns:
+        left, right = data.alpha ** n * x, data.beta ** n * y
+        assert repr(_root_form(data, n, sub)) == repr(left - right), n
+        assert repr(_root_form(data, n, add)) == repr(left + right), n
+
+
+@pytest.mark.parametrize("p, q", [(1, -1), (2, -1)])
+def test_closed_forms_equal_the_literal_forms_for_both_quadratics(p, q):
+    _assert_closed_forms_are_literal(p, q, range(-30, 31))
+
+
+@hypothesis.settings(deadline=None, max_examples=25)
+@hypothesis.given(
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.integers(min_value=-30, max_value=30),
+)
+def test_closed_forms_equal_the_literal_forms(p, q, n):
+    try:
+        binet_data(HoradamParams(0, 1, p, q))
+    except (RationalRoots, RepeatedRoot):
+        hypothesis.reject()
+    _assert_closed_forms_are_literal(p, q, [n])
 
 
 def test_check_binet_single_sequence():

@@ -163,6 +163,40 @@ def test_recurrence_holds_everywhere(seq, n, k):
     assert all(type(t) is Fraction for t in terms)
 
 
+def _stepwise_window(params, lo, hi):
+    """w_lo .. w_hi one Fraction step at a time from (w0, w1): forward by
+    the recurrence, backward by w_n = (p*w_{n+1} - w_{n+2})/q."""
+    w0, w1, p, q = params
+    terms = {0: w0, 1: w1}
+    for n in range(2, hi + 1):
+        terms[n] = p * terms[n - 1] - q * terms[n - 2]
+    for n in range(-1, lo - 1, -1):
+        terms[n] = (p * terms[n + 1] - terms[n + 2]) / q
+    return [terms[n] for n in range(lo, hi + 1)]
+
+
+WINDOW_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@hypothesis.example(Fraction(1, 3), Fraction(-2, 5), Fraction(1, 2), Fraction(-3, 4), -7, 5)
+@hypothesis.given(
+    WINDOW_RATIONALS,
+    WINDOW_RATIONALS,
+    WINDOW_RATIONALS,
+    WINDOW_RATIONALS,
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=0, max_value=12),
+)
+def test_window_matches_the_stepwise_definition(w0, w1, p, q, lo, width):
+    # rational w0, w1 put the start over a common denominator, and a q
+    # with a denominator gives the inverse step matrix one (lo < 0)
+    hypothesis.assume(q or lo >= 0)
+    params = HoradamParams(w0, w1, p, q)
+    terms = window(params, lo, lo + width)
+    assert terms == _stepwise_window(params, lo, lo + width)
+    assert all(type(t) is Fraction for t in terms)
+
+
 def test_point_window_keeps_only_its_terms():
     # seven terms near F(20000) are ~20 kB; a window that also kept the
     # ~20,000 terms below lo would peak at ~21 MB
