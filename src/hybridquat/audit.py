@@ -3,18 +3,19 @@
 Every identity is checked over an inclusive span of integers.  Left-hand
 sides are always built from recurrence lifts (plain rationals);
 right-hand sides follow the claimed closed forms, over Q(sqrt(D)) where
-they call for roots.  The two pipelines never share code paths, so an
-agreement is genuine confirmation and a disagreement produces an exact
-witness: the smallest failing index together with both values and their
-difference in the canonical 16-term rendering.
+they call for roots.  The two sides share only the lift layout, which is
+the definition of the lifts; a closed-form value is never a recurrence
+term.  So an agreement is genuine confirmation and a disagreement
+produces an exact witness: the smallest failing index together with both
+values and their difference in the canonical 16-term rendering.
 
 Closed forms use three exact identities instead of multiplying factor by
 factor: the hybrid and quaternion embeddings are homomorphisms, hybrid
 factors commute with quaternion factors, and conjugating every
 coefficient in Q(sqrt(D)) is multiplicative (the structure constants are
 rational).  So each beta half is its alpha half conjugated, and a Cassini
-chain is one product of a hybrid pair by a quaternion pair, each pair
-multiplied in its printed order.
+chain is the outer product of a hybrid pair and a quaternion pair, each
+pair multiplied in its printed order: coefficient 4s+t is q_s*z_t.
 
 Each catalog id declares an order bound r: coefficient by coefficient,
 both sides of each of its checks satisfy one linear recurrence of order
@@ -53,6 +54,7 @@ from .sequences import (
     HoradamParams,
     Window,
     _conjugate,
+    _outer,
     binet_data,
     generalized_fibonacci,
     generalized_lucas,
@@ -193,9 +195,10 @@ def _binet(seq):
     """Thm 2.1: recurrence lift against the Q(sqrt(D)) closed form."""
 
     def prepare(s):
-        data = s.once(binet_data, seq)
+        lo = s.span[0]
+        rows = s.once(binet_data, seq).table("hybrid-quaternion", lo, s.last)
         hat = s.lifts(seq).hybrid_quaternion
-        return lambda n: [hat(n), data.hybrid_quaternion(n)]
+        return lambda n: [hat(n), rows[n - lo]]
 
     return prepare
 
@@ -320,15 +323,11 @@ def _cassini_bracket(p, q):
     """1/(alpha - beta) and the bracket
     alpha alpha* beta* alpha_under beta_under - beta beta* alpha* beta_under alpha_under.
 
-    The embeddings are homomorphisms and hybrid factors commute with
-    quaternion factors, so the first chain is embed(alpha* beta*) times
-    embed(alpha_under beta_under), each pair in printed order; conjugation
-    is multiplicative, so the second chain is the first conjugated and the
-    bracket is v - conj(v) for v = alpha*first."""
+    By the identities in the module docstring, alpha times the first chain
+    is the outer product v of alpha*(alpha* beta*) and alpha_under beta_under,
+    and the bracket is v - conj(v)."""
     data = binet_data(HoradamParams(0, 1, p, q))
-    embed_h, embed_q = HybridQuaternion.from_hybrid, HybridQuaternion.from_quaternion
-    first = embed_h(data.alpha_star * data.beta_star) * embed_q(data.alpha_under * data.beta_under)
-    v = data.alpha * first
+    v = _outer(data.alpha * (data.alpha_star * data.beta_star), data.alpha_under * data.beta_under)
     return (data.alpha - data.beta).inverse(), v - _conjugate(v)
 
 

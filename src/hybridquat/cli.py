@@ -24,7 +24,7 @@ from .audit import CATALOG, DEFAULT_SPAN, REFUTED, audit_all, reports_to_json
 from .errors import HybridQuatError, RationalRoots
 from .hybrid_quaternion import COLUMN_NAMES, HybridQuaternion
 from .scalars import QuadExt, parse_fraction, parse_scalar, unlimited_digits
-from .sequences import LIFT_TERMS, REGISTRY, HoradamParams, Window, binet_data
+from .sequences import LIFT_TERMS, REGISTRY, HoradamParams, _layout, binet_data, window
 
 LIFTS = ("scalar", "hybrid", "quaternion", "hybrid-quaternion")
 METHODS = ("recurrence", "binet")
@@ -66,23 +66,6 @@ def _resolve_sequence(name: str | None, params_text: str | None) -> HoradamParam
     return REGISTRY[key].params
 
 
-def _binet_row(value) -> list[Fraction]:
-    # every coefficient is a QuadExt; at an integer index it lies in Q,
-    # and a surviving surd term would mean the evaluator itself is broken
-    coeffs = [value] if isinstance(value, QuadExt) else value.components()
-    for c in coeffs:
-        if c.surd_part:
-            raise RuntimeError(f"surd part failed to cancel: {c}")
-    return [c.rat_part for c in coeffs]
-
-
-def _recurrence_rows(
-    params: HoradamParams, lift: str, lo: int, hi: int
-) -> list[list[Fraction]]:
-    w = Window(params, lo, hi + LIFT_TERMS[lift] - 1)
-    return [w.coeffs(lift, n) for n in range(lo, hi + 1)]
-
-
 def _emit_table(
     rows: list[tuple[int, list[Fraction]]], header: tuple[str, ...], fmt: str, out
 ) -> None:
@@ -96,15 +79,17 @@ def _emit_table(
 
 
 def run_seq(args: argparse.Namespace, out) -> int:
+    # the terms w_lo .. w_{hi+width-1} that the lift lays out
+    lo, hi = args.lo, args.hi + LIFT_TERMS[args.lift] - 1
     if args.method == "binet":
         try:
             data = binet_data(args.params)
         except RationalRoots as exc:
             raise UsageError(f"rational roots: {exc}") from None
-        values = map(_binet_row, data.table(args.lift, args.lo, args.hi))
+        terms = data.terms(lo, hi)
     else:
-        values = _recurrence_rows(args.params, args.lift, args.lo, args.hi)
-    body = list(zip(range(args.lo, args.hi + 1), values))
+        terms = window(args.params, lo, hi)
+    body = [(n, _layout(terms, lo, args.lift, n)) for n in range(lo, args.hi + 1)]
     _emit_table(body, _HEADERS[args.lift], args.fmt, out)
     return 0
 

@@ -29,11 +29,11 @@ B = (w0*alpha - w1)/(alpha - beta),
 where alpha_star = 1 + alpha*hi + alpha^2*eps + alpha^3*hh and
 alpha_under = 1 + alpha*i + alpha^2*j + alpha^3*k.  The parameters are
 rational, so beta = conj(alpha) and B = conj(A) in Q(sqrt(D)), and each
-beta term is the alpha term with every coefficient conjugated: a value
-is v + conj(v) for v = A*alpha^n*R, R being 1 or the lift's alpha factor,
-so each coefficient is 2*rat(v) and the surd half of v is never formed.
-A table steps alpha^n by one multiply per row.  Everything is exact, and
-every value agrees with the recurrence coefficient by coefficient.
+beta term is the alpha term with every coefficient conjugated.  And
+coefficient (s, t) of alpha_star*alpha_under is alpha^(s+t), so a lift's
+value is the scalar Binet terms 2*rat(A*alpha^k) laid out exactly as the
+recurrence lift lays out w_k: no surd half and no root product is formed.
+Everything is exact, and every value agrees with the recurrence.
 """
 
 from __future__ import annotations
@@ -158,6 +158,19 @@ def horadam(seq, n: int) -> Fraction:
 LIFT_TERMS = {"scalar": 1, "hybrid": 4, "quaternion": 4, "hybrid-quaternion": 7}
 
 
+def _layout(terms, lo: int, lift: str, n: int) -> list:
+    """The lift's coefficients at n in basis order (flat canonical order
+    for the hybrid quaternion), read off terms indexed from lo."""
+    i = n - lo
+    width = LIFT_TERMS[lift]
+    if i < 0 or i + width > len(terms):
+        raise IndexError(f"{lift} lift at {n} reads past the window")
+    w = terms[i : i + width]
+    if lift == "hybrid-quaternion":
+        return [w[s + t] for s in range(4) for t in range(4)]
+    return w
+
+
 class Window:
     """Terms w_lo .. w_hi of one sequence from a single ``window`` call.
 
@@ -170,16 +183,8 @@ class Window:
         self.terms = window(seq, lo, hi)
 
     def coeffs(self, lift: str, n: int) -> list:
-        """Coefficients of the lift at n in basis order (flat canonical
-        order for the hybrid quaternion)."""
-        i = n - self.lo
-        width = LIFT_TERMS[lift]
-        if i < 0 or i + width > len(self.terms):
-            raise IndexError(f"{lift} lift at {n} reads past the window")
-        w = self.terms[i : i + width]
-        if lift == "hybrid-quaternion":
-            return [w[s + t] for s in range(4) for t in range(4)]
-        return w
+        """Coefficients of the lift at n in basis order, as ``_layout``."""
+        return _layout(self.terms, self.lo, lift, n)
 
     def term(self, n: int) -> Fraction:
         return self.coeffs("scalar", n)[0]
@@ -213,6 +218,13 @@ def _conjugate(value):
     return value._from_values([c.conjugate() for c in value.components()])
 
 
+def _outer(z: Hybrid, q: Quaternion) -> HybridQuaternion:
+    """from_hybrid(z) * from_quaternion(q), formed directly: the product of
+    1 x v_t and u_s x 1 is u_s x v_t, so coefficient 4s+t is q_s*z_t."""
+    zs = z.components()
+    return HybridQuaternion._from_values([a * b for a in q.components() for b in zs])
+
+
 # no __slots__: cached_property keeps hats in the instance __dict__
 class BinetData(
     namedtuple("BinetData", "alpha beta A B alpha_star beta_star alpha_under beta_under")
@@ -225,30 +237,28 @@ class BinetData(
     @cached_property
     def hats(self) -> tuple:
         """alpha_star*alpha_under and beta_star*beta_under as hybrid quaternions."""
-        embed_h, embed_q = HybridQuaternion.from_hybrid, HybridQuaternion.from_quaternion
-        hat = embed_h(self.alpha_star) * embed_q(self.alpha_under)
+        hat = _outer(self.alpha_star, self.alpha_under)
         return hat, _conjugate(hat)
 
-    def table(self, lift: str, lo: int, hi: int) -> list:
-        """The lift's values at n = lo .. hi, with t = A*alpha^n stepped by
-        one multiply per row.  A value is v + conj(v) for v = t*R, that is
-        2*rat(t*c) for each coefficient c of R: only that rational half is
-        formed, as a QuadExt with zero surd part."""
-        roots = {"scalar": None, "hybrid": self.alpha_star, "quaternion": self.alpha_under}
-        root = self.hats[0] if lift == "hybrid-quaternion" else roots[lift]
-        coeffs = (1,) if root is None else root.components()
-        parts = [(c.rat_part, c.surd_part) if isinstance(c, QuadExt) else (c, 0) for c in coeffs]
-        d, zero = self.alpha.discriminant, Fraction(0)
+    def terms(self, lo: int, hi: int) -> list:
+        """The Fractions w_lo .. w_hi, each 2*rat(t) = t + conj(t) for
+        t = A*alpha^k, with t stepped by one multiply per term."""
         t = self.A * self.alpha ** lo
-        values = []
-        for n in range(lo, hi + 1):
-            if n > lo:
-                t = t * self.alpha
-            # 2*rat(t*c) = 2*rat(t)*rat(c) + 2*d*surd(t)*surd(c)
-            a, b = 2 * t.rat_part, 2 * d * t.surd_part
-            row = [QuadExt._new(a * x + b * y, zero, d) for x, y in parts]
-            values.append(row[0] if root is None else root._from_values(row))
+        values = [2 * t.rat_part]
+        for _ in range(hi - lo):
+            t = t * self.alpha
+            values.append(2 * t.rat_part)
         return values
+
+    def table(self, lift: str, lo: int, hi: int) -> list:
+        """The lift's values at n = lo .. hi: the terms laid out as
+        ``Window`` lays them out, each a QuadExt with zero surd part."""
+        d, zero = self.alpha.discriminant, Fraction(0)
+        terms = [QuadExt._new(w, zero, d) for w in self.terms(lo, hi + LIFT_TERMS[lift] - 1)]
+        if lift == "scalar":
+            return terms
+        cls = {"hybrid": Hybrid, "quaternion": Quaternion, "hybrid-quaternion": HybridQuaternion}[lift]
+        return [cls._from_values(_layout(terms, lo, lift, n)) for n in range(lo, hi + 1)]
 
     def scalar(self, n: int) -> QuadExt:
         return self.table("scalar", n, n)[0]

@@ -38,6 +38,7 @@ from hybridquat.sequences import (
     JACOBSTHAL,
     LUCAS,
     MERSENNE,
+    BinetData,
     HoradamParams,
     binet_data,
     horadam,
@@ -326,6 +327,22 @@ def test_one_window_per_sequence_and_one_binet_build_per_call(monkeypatch):
     assert check_binet(FIBONACCI, SPAN).status == "VERIFIED"
     assert windows == [FIBONACCI]
     assert builds == [FIBONACCI]
+
+
+def test_binet_scans_build_one_table_per_sequence(monkeypatch):
+    tables = []
+    real = BinetData.table
+
+    def counted(data, lift, lo, hi):
+        tables.append((lift, lo, hi))
+        return real(data, lift, lo, hi)
+
+    monkeypatch.setattr(BinetData, "table", counted)
+    reports = CATALOG["Thm2.1"](DEFAULT_SPAN)
+    # the 7 sequences with irrational roots; the other 3 are UNEVALUABLE
+    assert sum(r.status != "UNEVALUABLE" for r in reports) == 7
+    row_span = ("hybrid-quaternion", DEFAULT_SPAN[0], _Scans(DEFAULT_SPAN).last)
+    assert tables == [row_span] * 7
 
 
 # -- the order certificate ------------------------------------------------------

@@ -7,6 +7,7 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
+import hybridquat.scalars
 from hybridquat.errors import (
     NegativeIndexWithZeroQ,
     RationalRoots,
@@ -30,6 +31,7 @@ from hybridquat.sequences import (
     HoradamParams,
     SequenceId,
     Window,
+    _outer,
     binet_data,
     binet_hybrid,
     binet_hybrid_quaternion,
@@ -468,7 +470,15 @@ def test_binet_table_rows_from_a_negative_start_are_the_per_n_values(
     assert rows == [one_row(n) for n in range(lo, lo + width + 1)]
 
 
+@pytest.mark.parametrize("seq", IRRATIONAL_ROOT_SEQUENCES, ids=lambda s: s.name)
+def test_binet_terms_are_the_recurrence_terms(seq):
+    terms = binet_data(seq).terms(-20, 40)
+    assert terms == window(seq, -20, 40)
+    assert all(type(w) is Fraction for w in terms)
+
+
 def test_binet_root_product_is_formed_once(monkeypatch):
+    # hats is the outer product of the root factors: no 16-dim product runs
     products = []
     multiply = HybridQuaternion.__mul__
 
@@ -480,7 +490,45 @@ def test_binet_root_product_is_formed_once(monkeypatch):
     monkeypatch.setattr(HybridQuaternion, "__mul__", counting)
     data = binet_data(FIBONACCI)
     x, y = data.hats
-    assert len(products) == 1
+    assert products == []
     monkeypatch.undo()
     embed_h, embed_q = HybridQuaternion.from_hybrid, HybridQuaternion.from_quaternion
+    assert x == embed_h(data.alpha_star) * embed_q(data.alpha_under)
     assert y == embed_h(data.beta_star) * embed_q(data.beta_under)
+
+
+@st.composite
+def _outer_operands(draw):
+    """A Hybrid and a Quaternion over Q, or over one field Q(sqrt(D)) with
+    rational and zero coefficients mixed in."""
+    rational = st.one_of(st.just(Fraction(0)), SMALL_RATIONALS)
+    scalar = rational
+    if draw(st.booleans()):
+        d = draw(st.sampled_from([5, 2, -3, 13]))
+        scalar = st.one_of(rational, st.builds(QuadExt, rational, rational, st.just(d)))
+    z, q = (draw(st.lists(scalar, min_size=4, max_size=4)) for _ in range(2))
+    return Hybrid(*z), Quaternion(*q)
+
+
+@hypothesis.given(_outer_operands())
+def test_outer_product_is_the_product_of_the_embeddings(operands):
+    z, q = operands
+    embed_h, embed_q = HybridQuaternion.from_hybrid, HybridQuaternion.from_quaternion
+    assert _outer(z, q) == embed_h(z) * embed_q(q)
+
+
+@pytest.mark.parametrize("lift", BINET_LIFTS)
+@pytest.mark.parametrize("lo, width", [(-9, 0), (-9, 12), (0, 0), (0, 1), (5, 7), (40, 3)])
+def test_binet_table_raises_one_power(lift, lo, width, monkeypatch):
+    data = binet_data(PELL)
+    calls = []
+    real = hybridquat.scalars.power
+
+    def counted(base, exponent, one):
+        calls.append(exponent)
+        return real(base, exponent, one)
+
+    monkeypatch.setattr(hybridquat.scalars, "power", counted)
+    rows = data.table(lift, lo, lo + width)
+    assert len(rows) == width + 1
+    assert calls == [abs(lo)]
