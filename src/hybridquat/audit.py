@@ -16,6 +16,8 @@ coefficient in Q(sqrt(D)) is multiplicative (the structure constants are
 rational).  So each beta half is its alpha half conjugated, and a Cassini
 chain is the outer product of a hybrid pair and a quaternion pair, each
 pair multiplied in its printed order: coefficient 4s+t is q_s*z_t.
+The Binet forms are read off ``BinetData.table``: Thm 2.1 with the
+sequence's own weights, Thm 3.4 with its printed ones as A and B.
 
 Each catalog id declares an order bound r: coefficient by coefficient,
 both sides of each of its checks satisfy one linear recurrence of order
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from operator import add, sub
 
 from .errors import MixedDiscriminant, RationalRoots, RepeatedRoot
 from .hybrid_quaternion import HybridQuaternion
@@ -191,41 +192,23 @@ def _breve(w: Window, n: int) -> HybridQuaternion:
 # -- Binet forms ------------------------------------------------------------
 
 
-def _binet(seq):
-    """Thm 2.1: recurrence lift against the Q(sqrt(D)) closed form."""
+def _binet(seq, weight=None):
+    """Thm 2.1: recurrence lift against the Q(sqrt(D)) closed form.
+
+    Thm 3.4 prints that form on the roots of x^2 - x - 1 with its own
+    weight: weight(alpha, beta) then stands for A and its conjugate for B."""
 
     def prepare(s):
         lo = s.span[0]
-        rows = s.once(binet_data, seq).table("hybrid-quaternion", lo, s.last)
+        data = s.once(binet_data, seq)
+        if weight:
+            A = weight(data.alpha, data.beta)
+            data = data._replace(A=A, B=A.conjugate())
+        rows = data.table("hybrid-quaternion", lo, s.last)
         hat = s.lifts(seq).hybrid_quaternion
         return lambda n: [hat(n), rows[n - lo]]
 
     return prepare
-
-
-# The two printed Binet displays, with their explicit weights:
-# i:  hat(F)_n = (alpha_star alpha_under alpha^n - beta_star beta_under beta^n) / (alpha - beta)
-# ii: hat(L)_n = alpha_star alpha_under alpha^n + beta_star beta_under beta^n
-
-
-def _root_form(data, n, combine):
-    """combine(alpha^n x, beta^n y) for (x, y) = data.hats, the second
-    taken as the first conjugated: y = conj(x) and beta = conj(alpha)."""
-    v = data.alpha ** n * data.hats[0]
-    return combine(v, _conjugate(v))
-
-
-def _literal_binet_fibonacci(s):
-    data = s.once(binet_data, FIBONACCI)
-    inv_spread = (data.alpha - data.beta).inverse()
-    hat = s.lifts(FIBONACCI).hybrid_quaternion
-    return lambda n: [hat(n), inv_spread * _root_form(data, n, sub)]
-
-
-def _literal_binet_lucas(s):
-    data = s.once(binet_data, FIBONACCI)
-    lucas_hat = s.lifts(LUCAS).hybrid_quaternion
-    return lambda n: [lucas_hat(n), _root_form(data, n, add)]
 
 
 # -- Fibonacci hybrid quaternion relations ----------------------------------
@@ -397,8 +380,12 @@ CATALOG = {
         _Identity("Thm3.3.ii", _LINEAR, (FIBONACCI, _hybrid_conjugate)),
         _Identity("Thm3.3.iii-hat", _LINEAR, (FIBONACCI, _total_conjugate_hat)),
         _Identity("Thm3.3.iii-breve", _LINEAR, (FIBONACCI, _total_conjugate_breve)),
-        _Identity("Thm3.4.i", _LINEAR, (FIBONACCI, _literal_binet_fibonacci)),
-        _Identity("Thm3.4.ii", _LINEAR, (LUCAS, _literal_binet_lucas)),
+        # the printed Binet displays; A = 1/(alpha - beta), B = conj(A) = -A in i
+        # and A = B = 1 in ii:
+        # i:  hat(F)_n = (alpha_star alpha_under alpha^n - beta_star beta_under beta^n) / (alpha - beta)
+        # ii: hat(L)_n = alpha_star alpha_under alpha^n + beta_star beta_under beta^n
+        _Identity("Thm3.4.i", _LINEAR, (FIBONACCI, _binet(FIBONACCI, lambda a, b: 1 / (a - b)))),
+        _Identity("Thm3.4.ii", _LINEAR, (LUCAS, _binet(LUCAS, lambda a, b: 1))),
         _Identity("C1@x^2-x-1", _CASSINI, (FIBONACCI, _cassini_fibonacci(1, -1))),
         _Identity("C2@x^2-x-1", _CASSINI, (LUCAS, _cassini_lucas(1, -1))),
         _Identity("C1@x^2-2x-1", _CASSINI, (FIBONACCI, _cassini_fibonacci(2, -1))),

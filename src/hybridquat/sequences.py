@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 from .errors import NegativeIndexWithZeroQ
@@ -212,9 +211,7 @@ def lift_hybrid_quaternion(seq, n: int) -> HybridQuaternion:
 
 
 def _conjugate(value):
-    """value with every coefficient replaced by its field conjugate."""
-    if isinstance(value, QuadExt):
-        return value.conjugate()
+    """The element value with every coefficient replaced by its field conjugate."""
     return value._from_values([c.conjugate() for c in value.components()])
 
 
@@ -225,24 +222,20 @@ def _outer(z: Hybrid, q: Quaternion) -> HybridQuaternion:
     return HybridQuaternion._from_values([a * b for a in q.components() for b in zs])
 
 
-# no __slots__: cached_property keeps hats in the instance __dict__
 class BinetData(
     namedtuple("BinetData", "alpha beta A B alpha_star beta_star alpha_under beta_under")
 ):
     """The closed-form constants of one parameter set, and the evaluator
-    that uses them: build it once (``binet_data``) and evaluate at as
-    many indices as needed.  The 16-dimensional root product is formed
-    on first use and kept with the instance, never beyond it."""
+    that uses them: build it once (``binet_data``) and read its table
+    over as many indices as needed."""
 
-    @cached_property
-    def hats(self) -> tuple:
-        """alpha_star*alpha_under and beta_star*beta_under as hybrid quaternions."""
-        hat = _outer(self.alpha_star, self.alpha_under)
-        return hat, _conjugate(hat)
+    __slots__ = ()
 
     def terms(self, lo: int, hi: int) -> list:
         """The Fractions w_lo .. w_hi, each 2*rat(t) = t + conj(t) for
         t = A*alpha^k, with t stepped by one multiply per term."""
+        if lo > hi:
+            raise ValueError("empty index window")
         t = self.A * self.alpha ** lo
         values = [2 * t.rat_part]
         for _ in range(hi - lo):
@@ -253,24 +246,14 @@ class BinetData(
     def table(self, lift: str, lo: int, hi: int) -> list:
         """The lift's values at n = lo .. hi: the terms laid out as
         ``Window`` lays them out, each a QuadExt with zero surd part."""
+        if lo > hi:
+            raise ValueError("empty index window")
         d, zero = self.alpha.discriminant, Fraction(0)
         terms = [QuadExt._new(w, zero, d) for w in self.terms(lo, hi + LIFT_TERMS[lift] - 1)]
         if lift == "scalar":
             return terms
         cls = {"hybrid": Hybrid, "quaternion": Quaternion, "hybrid-quaternion": HybridQuaternion}[lift]
         return [cls._from_values(_layout(terms, lo, lift, n)) for n in range(lo, hi + 1)]
-
-    def scalar(self, n: int) -> QuadExt:
-        return self.table("scalar", n, n)[0]
-
-    def hybrid(self, n: int) -> Hybrid:
-        return self.table("hybrid", n, n)[0]
-
-    def quaternion(self, n: int) -> Quaternion:
-        return self.table("quaternion", n, n)[0]
-
-    def hybrid_quaternion(self, n: int) -> HybridQuaternion:
-        return self.table("hybrid-quaternion", n, n)[0]
 
 
 def binet_data(seq) -> BinetData:
@@ -288,16 +271,16 @@ def binet_data(seq) -> BinetData:
 
 
 def binet_scalar(seq, n: int) -> QuadExt:
-    return binet_data(seq).scalar(n)
+    return binet_data(seq).table("scalar", n, n)[0]
 
 
 def binet_hybrid(seq, n: int) -> Hybrid:
-    return binet_data(seq).hybrid(n)
+    return binet_data(seq).table("hybrid", n, n)[0]
 
 
 def binet_quaternion(seq, n: int) -> Quaternion:
-    return binet_data(seq).quaternion(n)
+    return binet_data(seq).table("quaternion", n, n)[0]
 
 
 def binet_hybrid_quaternion(seq, n: int) -> HybridQuaternion:
-    return binet_data(seq).hybrid_quaternion(n)
+    return binet_data(seq).table("hybrid-quaternion", n, n)[0]

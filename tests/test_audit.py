@@ -6,7 +6,6 @@ auditor must reproduce them exactly.
 """
 
 import json
-from operator import add, sub
 
 import hypothesis
 import hypothesis.strategies as st
@@ -21,8 +20,8 @@ from hybridquat.audit import (
     IdentityReport,
     _Identity,
     _Scans,
+    _binet,
     _cassini_bracket,
-    _root_form,
     audit_all,
     check_binet,
     check_cassini,
@@ -201,19 +200,33 @@ def _printed_order_bracket(p, q):
     return (data.alpha - data.beta).inverse(), data.alpha * first - data.beta * second
 
 
+# the weights the two Thm 3.4 displays print for A, as functions of (alpha, beta)
+PRINTED_WEIGHTS = {"Thm3.4.i": lambda a, b: 1 / (a - b), "Thm3.4.ii": lambda a, b: 1}
+
+
+def _closed_form_row(prepare, n):
+    """The closed-form side of a check at n, from a scan of the span (n, n)."""
+    return prepare(_Scans((n, n)))(n)[1]
+
+
 def _assert_closed_forms_are_literal(p, q, ns):
-    """The Cassini bracket and the Thm 3.4 forms alpha^n x -+ beta^n y,
-    x and y built from their own root factors, equal down to every
+    """The Cassini bracket and the Thm 3.4 rows on the roots of x^2 - px + q
+    equal alpha^n x -+ beta^n y (over alpha - beta for i), x and y built
+    by 16-dim products from their own root factors, down to every
     coefficient's repr."""
     assert repr(_cassini_bracket(p, q)) == repr(_printed_order_bracket(p, q))
-    data = binet_data(HoradamParams(0, 1, p, q))
+    params = HoradamParams(0, 1, p, q)
+    data = binet_data(params)
     embed_h, embed_q = HybridQuaternion.from_hybrid, HybridQuaternion.from_quaternion
     x = embed_h(data.alpha_star) * embed_q(data.alpha_under)
     y = embed_h(data.beta_star) * embed_q(data.beta_under)
+    inv_spread = (data.alpha - data.beta).inverse()
     for n in ns:
         left, right = data.alpha ** n * x, data.beta ** n * y
-        assert repr(_root_form(data, n, sub)) == repr(left - right), n
-        assert repr(_root_form(data, n, add)) == repr(left + right), n
+        literal = {"Thm3.4.i": inv_spread * (left - right), "Thm3.4.ii": left + right}
+        for key, weight in PRINTED_WEIGHTS.items():
+            row = _closed_form_row(_binet(params, weight), n)
+            assert repr(row) == repr(literal[key]), (key, n)
 
 
 @pytest.mark.parametrize("p, q", [(1, -1), (2, -1)])
@@ -233,6 +246,41 @@ def test_closed_forms_equal_the_literal_forms(p, q, n):
     except (RationalRoots, RepeatedRoot):
         hypothesis.reject()
     _assert_closed_forms_are_literal(p, q, [n])
+
+
+@pytest.mark.parametrize("key", PRINTED_WEIGHTS)
+def test_thm34_catalog_checks_read_the_printed_weights(key):
+    (seq, prepare), = CATALOG[key].checks
+    printed = _binet(seq, PRINTED_WEIGHTS[key])
+    for n in range(-30, 31):
+        assert repr(_closed_form_row(prepare, n)) == repr(_closed_form_row(printed, n)), n
+
+
+def test_thm34_with_a_wrong_weight_is_refuted_at_the_span_start():
+    # A = 1 in display i gives hat(L)_n on the right, so the weight is read
+    # when the check runs, not assumed
+    order = CATALOG["Thm3.4.i"].order
+    report = _Scans(SPAN).report("Thm3.4.i", FIBONACCI, _binet(FIBONACCI, lambda a, b: 1), order)
+    assert report.status == "REFUTED"
+    assert report.first_failure.n == SPAN[0]
+
+
+def test_binet_data_and_a_thm34_scan_form_no_root_product(monkeypatch):
+    # the root factors are outer products and the rows are laid-out terms:
+    # no two hybrid quaternions are multiplied
+    products = []
+    multiply = HybridQuaternion.__mul__
+
+    def counting(x, y):
+        if isinstance(y, HybridQuaternion):
+            products.append((x, y))
+        return multiply(x, y)
+
+    monkeypatch.setattr(HybridQuaternion, "__mul__", counting)
+    binet_data(FIBONACCI)
+    for key in PRINTED_WEIGHTS:
+        assert [r.status for r in CATALOG[key](SPAN)] == ["VERIFIED"]
+    assert products == []
 
 
 def test_check_binet_single_sequence():

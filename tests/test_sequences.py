@@ -406,12 +406,16 @@ def test_records_are_frozen_value_tuples():
     # a namedtuple compares as the tuple of its fields
     assert FIBONACCI.params == (0, 1, 1, -1) and hash(FIBONACCI.params) == hash((0, 1, 1, -1))
     assert FIBONACCI == ("Fibonacci", (0, 1, 1, -1))
-    assert data.hats is data.hats and "hats" in vars(data)
+    # every record is slotted: no instance __dict__ to hold a cache
+    assert not any(hasattr(record, "__dict__") for record in (params, FIBONACCI, data))
 
 
 # -- Binet from the alpha half ---------------------------------------------
 
 BINET_LIFTS = ("scalar", "hybrid", "quaternion", "hybrid-quaternion")
+BINET_EVALUATORS = dict(
+    zip(BINET_LIFTS, (binet_scalar, binet_hybrid, binet_quaternion, binet_hybrid_quaternion))
+)
 SMALL_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
@@ -433,14 +437,14 @@ def _root_factors(r):
 @hypothesis.given(SMALL_RATIONALS, SMALL_RATIONALS, SMALL_RATIONALS, SMALL_RATIONALS)
 def test_binet_evaluators_equal_both_literal_halves(w0, w1, p, q):
     data = _irrational_binet_data(w0, w1, p, q)
+    params = HoradamParams(w0, w1, p, q)
     alpha, beta = data.alpha, data.beta
     assert data.B == (w0 * alpha - w1) / (alpha - beta)
     alpha_factors, beta_factors = _root_factors(alpha), _root_factors(beta)
     assert data.beta_star == beta_factors["hybrid"]
     assert data.beta_under == beta_factors["quaternion"]
-    assert list(data.hats) == [alpha_factors["hybrid-quaternion"], beta_factors["hybrid-quaternion"]]
     for lift in BINET_LIFTS:
-        one_row = getattr(data, lift.replace("-", "_"))
+        one_row = BINET_EVALUATORS[lift]
         rows = data.table(lift, -60, 60)
         for n, row in zip(range(-60, 61), rows):
             literal = (
@@ -448,7 +452,7 @@ def test_binet_evaluators_equal_both_literal_halves(w0, w1, p, q):
                 + data.B * beta ** n * beta_factors[lift]
             )
             # equal down to the scalar type of every coefficient
-            assert repr(row) == repr(one_row(n)) == repr(literal)
+            assert repr(row) == repr(one_row(params, n)) == repr(literal)
 
 
 @hypothesis.settings(deadline=None)
@@ -465,9 +469,9 @@ def test_binet_table_rows_from_a_negative_start_are_the_per_n_values(
     w0, w1, p, q, lo, width, lift
 ):
     data = _irrational_binet_data(w0, w1, p, q)
-    one_row = getattr(data, lift.replace("-", "_"))
+    one_row = BINET_EVALUATORS[lift]
     rows = data.table(lift, lo, lo + width)
-    assert rows == [one_row(n) for n in range(lo, lo + width + 1)]
+    assert rows == [one_row(HoradamParams(w0, w1, p, q), n) for n in range(lo, lo + width + 1)]
 
 
 @pytest.mark.parametrize("seq", IRRATIONAL_ROOT_SEQUENCES, ids=lambda s: s.name)
@@ -477,24 +481,15 @@ def test_binet_terms_are_the_recurrence_terms(seq):
     assert all(type(w) is Fraction for w in terms)
 
 
-def test_binet_root_product_is_formed_once(monkeypatch):
-    # hats is the outer product of the root factors: no 16-dim product runs
-    products = []
-    multiply = HybridQuaternion.__mul__
-
-    def counting(x, y):
-        if isinstance(y, HybridQuaternion):
-            products.append((x, y))
-        return multiply(x, y)
-
-    monkeypatch.setattr(HybridQuaternion, "__mul__", counting)
+@pytest.mark.parametrize("lift", BINET_LIFTS)
+def test_binet_table_and_terms_reject_an_empty_range(lift):
+    # as window does: no lift returns rows, or a term, for lo > hi
     data = binet_data(FIBONACCI)
-    x, y = data.hats
-    assert products == []
-    monkeypatch.undo()
-    embed_h, embed_q = HybridQuaternion.from_hybrid, HybridQuaternion.from_quaternion
-    assert x == embed_h(data.alpha_star) * embed_q(data.alpha_under)
-    assert y == embed_h(data.beta_star) * embed_q(data.beta_under)
+    for lo, hi in ((5, 4), (5, 3), (0, -1)):
+        with pytest.raises(ValueError, match="empty index window"):
+            data.table(lift, lo, hi)
+        with pytest.raises(ValueError, match="empty index window"):
+            data.terms(lo, hi)
 
 
 @st.composite
