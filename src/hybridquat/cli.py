@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .audit import CATALOG, DEFAULT_SPAN, REFUTED, audit_all, reports_to_json
 from .errors import HybridQuatError, RationalRoots
@@ -66,15 +65,17 @@ def _resolve_sequence(name: str | None, params_text: str | None) -> HoradamParam
     return REGISTRY[key].params
 
 
-def _emit_table(
-    rows: list[tuple[int, list[Fraction]]], header: tuple[str, ...], fmt: str, out
-) -> None:
+def _emit_table(terms: list, lo: int, hi: int, lift: str, fmt: str, out) -> None:
+    # render each term once and lay out the strings: a term fills up to 16
+    # cells, and str of a large Fraction is quadratic in its digits
+    cells = [str(t) for t in terms]
+    rows = [(n, _layout(cells, lo, lift, n)) for n in range(lo, hi + 1)]
     if fmt == "csv":
-        out.write(",".join(("n",) + header) + "\n")
+        out.write(",".join(("n",) + _HEADERS[lift]) + "\n")
         for n, coeffs in rows:
-            out.write(",".join([str(n)] + [str(c) for c in coeffs]) + "\n")
+            out.write(",".join([str(n)] + coeffs) + "\n")
     else:
-        payload = [{"n": n, "coeffs": [str(c) for c in coeffs]} for n, coeffs in rows]
+        payload = [{"n": n, "coeffs": coeffs} for n, coeffs in rows]
         out.write(json.dumps(payload, indent=2) + "\n")
 
 
@@ -89,8 +90,7 @@ def run_seq(args: argparse.Namespace, out) -> int:
         terms = data.terms(lo, hi)
     else:
         terms = window(args.params, lo, hi)
-    body = [(n, _layout(terms, lo, args.lift, n)) for n in range(lo, args.hi + 1)]
-    _emit_table(body, _HEADERS[args.lift], args.fmt, out)
+    _emit_table(terms, lo, args.hi, args.lift, args.fmt, out)
     return 0
 
 

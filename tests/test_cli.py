@@ -122,6 +122,75 @@ def test_output_is_deterministic(cli):
     assert first == second
 
 
+LIFT_OFFSETS = {
+    "scalar": [0],
+    "hybrid": [0, 1, 2, 3],
+    "quaternion": [0, 1, 2, 3],
+    # coefficient 4s+t of the hybrid quaternion lift is w_{n+s+t}
+    "hybrid-quaternion": [s + t for s in range(4) for t in range(4)],
+}
+
+
+def _render_seq(params, lo, hi, lift, fmt):
+    """The seq table, rendered from window values without the cli's code."""
+    from hybridquat.cli import _HEADERS
+    from hybridquat.sequences import window
+
+    offsets = LIFT_OFFSETS[lift]
+    terms = window(params, lo, hi + max(offsets))
+    rows = [(n, [str(terms[n - lo + k]) for k in offsets]) for n in range(lo, hi + 1)]
+    if fmt == "json":
+        return json.dumps([{"n": n, "coeffs": c} for n, c in rows], indent=2) + "\n"
+    lines = [",".join(("n",) + _HEADERS[lift])]
+    lines += [",".join([str(n)] + c) for n, c in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("method", ["recurrence", "binet"])
+@pytest.mark.parametrize("lift", list(LIFT_OFFSETS))
+@pytest.mark.parametrize(
+    "name, params_text",
+    [("fibonacci", None), ("pell-lucas", None), (None, "1/3,2/5,3/7,-5/11")],
+)
+def test_seq_prints_the_window_values_at_the_lift_offsets(
+    cli, name, params_text, lift, method, fmt
+):
+    from hybridquat.cli import _resolve_sequence
+
+    params = _resolve_sequence(name, params_text)
+    source = ["--sequence", name] if name else ["--params", params_text]
+    argv = ["seq", *source, "--from", "-12", "--to", "30",
+            "--lift", lift, "--method", method, "--format", fmt]
+    code, out, err = cli(argv)
+    assert (code, err) == (0, "")
+    assert out == _render_seq(params, -12, 30, lift, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("method", ["recurrence", "binet"])
+@pytest.mark.parametrize("lift", list(LIFT_OFFSETS))
+def test_seq_renders_each_term_once(cli, monkeypatch, lift, method, fmt):
+    # a hybrid quaternion row holds 7 terms in 16 cells, and a term sits in
+    # up to 7 rows; each of the hi - lo + width terms is rendered at most once
+    from fractions import Fraction
+
+    calls = []
+    render = Fraction.__str__
+
+    def counting(self):
+        calls.append(self)
+        return render(self)
+
+    monkeypatch.setattr(Fraction, "__str__", counting)
+    lo, hi = -20, 40
+    argv = ["seq", "--sequence", "lucas", "--from", str(lo), "--to", str(hi),
+            "--lift", lift, "--method", method, "--format", fmt]
+    code, out, _ = cli(argv)
+    assert code == 0 and out.count("\n") > hi - lo
+    assert 0 < len(calls) <= hi - lo + len(LIFT_OFFSETS[lift])
+
+
 def test_binet_rejects_rational_roots(cli):
     code, out, err = cli(
         ["seq", "--sequence", "mersenne", "--from", "0", "--to", "5", "--method", "binet"]
