@@ -3,10 +3,11 @@
 An algebra is a basis and a signed structure table: ``_TABLE[i][j]``
 lists the pairs ``(k, sign)`` with e_i * e_j = sum of sign * e_k, and
 every sign is +1 or -1.  ``Hybrid``, ``Quaternion`` and
-``HybridQuaternion`` subclass ``Element`` with their coefficient names,
-their table and their own extras; sums, products, scaling, negation,
-equality, hashing and rendering live here, and so does the one product
-loop, which reads the table.
+``HybridQuaternion`` subclass ``Element`` with their coefficient names
+and their own extras; sums, products, scaling, negation, equality,
+hashing and rendering live here.  So does the one table loop,
+``_product``, which serves the two 4-dimensional algebras through their
+tables; ``HybridQuaternion`` overrides it with a product in M2(H).
 
 A value with only rational coefficients is held as integer numerators
 over one positive common denominator, divided through by the gcd of all

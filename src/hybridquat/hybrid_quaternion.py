@@ -6,18 +6,21 @@ s and hybrid unit t, in the canonical order
 
     (1,1), (1,hi), (1,eps), (1,hh), (i,1), ..., (k,hh).
 
-Quaternion units commute with hybrid units, so the product of two basis
-elements factors as (u_s * u_t) x (v_a * v_b): the 256-entry structure
-table is the tensor product of the two 4-dimensional unit tables, built
-from their integer entries at import, and storage and arithmetic are
-those of ``algebra.Element``.  The two 4-coefficient presentations (four
-hybrid coefficients on the quaternion units, four quaternion
-coefficients on the hybrid units) are views over the same coefficients.
+Quaternion units commute with hybrid units, and hi, eps and hh act as
+the real 2x2 matrices [[0, 1], [-1, 0]], [[1, -1], [1, -1]] and
+[[0, 1], [1, 0]] (Ozdemir, Adv. Appl. Clifford Algebras 28, 2018), so
+a hybrid quaternion is a 2x2 matrix of quaternions, M2(H), and a dense
+product is 8 Hamilton products: 128 scalar multiplies, where the tensor
+product of the two 4-dimensional unit tables takes up to 256.  Sparse
+operands walk that tensor product.  Storage is ``algebra.Element``'s.
+The two 4-coefficient presentations (hybrid coefficients of 1, i, j, k
+and quaternion coefficients of 1, hi, eps, hh) view the same values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from .algebra import Element
 from .hybrid import Hybrid
@@ -32,33 +35,78 @@ COLUMN_NAMES = tuple(f"c_{u}_{v}" for u, v in CANONICAL_PAIRS)
 
 _QIDX = {name: s for s, name in enumerate(QUAT_UNITS)}
 _HIDX = {name: t for t, name in enumerate(HYBRID_UNITS)}
+_HALF = Fraction(1, 2)
 
 
-def _tensor(left, right) -> tuple:
-    """The structure table of the tensor product of two 4-dimensional
-    algebras whose units commute: e_(4s+a) * e_(4t+b) = (u_s u_t) x (v_a v_b).
-    Signs of +1 or -1 in both tables give signs of +1 or -1 here."""
-    return tuple(
-        tuple(
-            tuple((4 * r + m, x * y) for r, x in left[s][t] for m, y in right[a][b])
-            for t in range(4)
-            for b in range(4)
-        )
-        for s in range(4)
-        for a in range(4)
+def _hamilton(p, q) -> tuple:
+    """The Hamilton product of two quaternion coefficient 4-tuples."""
+    (p0, p1, p2, p3), (q0, q1, q2, q3) = p, q
+    return (
+        p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+        p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+        p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+        p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
     )
+
+
+def _matrix(x) -> tuple:
+    """m00, m01, m10, m11 of x in M2(H): a + c, b - c + d, c + d - b and
+    a - c for a, b, c, d the quaternion coefficients of 1, hi, eps, hh."""
+    a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
+    return (tuple(map(add, a, c)), tuple(map(add, map(sub, b, c), d)),
+            tuple(map(sub, map(add, c, d), b)), tuple(map(sub, a, c)))
+
+
+def _tensor_walk(x, y, zero) -> tuple:
+    """The table loop of ``Element._product`` over e_(4s+t) * e_(4s'+t')
+    = (u_s u_s') x (v_t v_t'), read off the two 4-dimensional tables."""
+    acc = [zero] * 16
+    for i, a in enumerate(x):
+        if a:
+            quaternions, hybrids = Quaternion._TABLE[i >> 2], Hybrid._TABLE[i & 3]
+            for j, b in enumerate(y):
+                if b:
+                    p = a * b  # once per pair, added or subtracted per term
+                    ((r, sign),) = quaternions[j >> 2]
+                    for m, h in hybrids[j & 3]:
+                        k = 4 * r + m
+                        acc[k] = acc[k] + p if sign == h else acc[k] - p
+    return tuple(acc)
 
 
 class HybridQuaternion(Element):
     __slots__ = ()
     _FIELDS = COLUMN_NAMES
     _UNITS = tuple(f"{u}*{v}" for u, v in CANONICAL_PAIRS)
-    _TABLE = _tensor(Quaternion._TABLE, Hybrid._TABLE)
 
     coeffs = property(lambda self: self.components(), doc="the 16 coefficients")
 
     def __repr__(self):
         return f"HybridQuaternion(coeffs={self.coeffs!r})"
+
+    def _product(self, x, y, zero) -> tuple:
+        """Coefficients of x*y; ``zero`` is 0 for ints, else Fraction(0).
+
+        ``_tensor_walk`` takes ints with at most 32 nonzero pairs, where it is
+        faster (a unit has 16), and scalars unless all are nonzero QuadExts of
+        one D, so a Fraction stays where no surd pair reaches (not 0*sqrt(D))."""
+        if zero.__class__ is int:
+            dense = (16 - x.count(0)) * (16 - y.count(0)) > 32
+        else:
+            d = getattr(x[0], "discriminant", 0)
+            dense = d and all(v and getattr(v, "discriminant", 0) == d for v in x + y)
+        if not dense:
+            return _tensor_walk(x, y, zero)
+        (x00, x01, x10, x11), (y00, y01, y10, y11) = _matrix(x), _matrix(y)
+        z00 = tuple(map(add, _hamilton(x00, y00), _hamilton(x01, y10)))
+        z01 = tuple(map(add, _hamilton(x00, y01), _hamilton(x01, y11)))
+        z10 = tuple(map(add, _hamilton(x10, y00), _hamilton(x11, y10)))
+        z11 = tuple(map(add, _hamilton(x10, y01), _hamilton(x11, y11)))
+        out = []  # 2a = z00 + z11, 2b = 2c + z01 - z10, 2c = z00 - z11, 2d = z01 + z10
+        for s in range(4):
+            c = z00[s] - z11[s]
+            out += (z00[s] + z11[s], c + z01[s] - z10[s], c, z01[s] + z10[s])
+        return tuple([v >> 1 for v in out] if zero.__class__ is int else [v * _HALF for v in out])
 
     # -- constructors -----------------------------------------------------
 
@@ -70,25 +118,18 @@ class HybridQuaternion(Element):
     @classmethod
     def from_quaternion(cls, q: Quaternion) -> "HybridQuaternion":
         """Embed q on the hybrid-scalar column: q x 1."""
-        zero = Quaternion.zero()
-        return cls.from_hybrid_basis(q, zero, zero, zero)
+        return cls.from_hybrid_basis(q, *(Quaternion.zero(),) * 3)
 
     @classmethod
     def from_quaternion_basis(cls, h0: Hybrid, h1: Hybrid, h2: Hybrid, h3: Hybrid):
         """Assemble from four hybrid coefficients of 1, i, j, k."""
-        coeffs = []
-        for h in (h0, h1, h2, h3):
-            coeffs.extend(h.components())
-        return cls(coeffs)
+        return cls([v for h in (h0, h1, h2, h3) for v in h.components()])
 
     @classmethod
     def from_hybrid_basis(cls, q0: Quaternion, q1: Quaternion, q2: Quaternion, q3: Quaternion):
         """Assemble from four quaternion coefficients of 1, hi, eps, hh."""
-        coeffs = [0] * 16
-        for t, q in enumerate((q0, q1, q2, q3)):
-            for s, value in enumerate(q.components()):
-                coeffs[4 * s + t] = value
-        return cls(coeffs)
+        rows = zip(*(q.components() for q in (q0, q1, q2, q3)))
+        return cls([v for row in rows for v in row])
 
     @classmethod
     def unit(cls, u: str, v: str) -> "HybridQuaternion":
@@ -106,7 +147,7 @@ class HybridQuaternion(Element):
     def as_hybrid_basis(self) -> tuple:
         """The four quaternion coefficients of 1, hi, eps, hh."""
         c = self.coeffs
-        return tuple(Quaternion(*(c[4 * s + t] for s in range(4))) for t in range(4))
+        return tuple(Quaternion(*c[t::4]) for t in range(4))
 
     # -- powers -----------------------------------------------------------
 
@@ -143,19 +184,12 @@ def scalar_vector_form(x: HybridQuaternion) -> tuple:
 
 def hq_dot(u: tuple, v: tuple) -> Hybrid:
     """Sum of componentwise hybrid products, left factors from u."""
-    acc = Hybrid.zero()
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
+    return sum((a * b for a, b in zip(u, v)), Hybrid.zero())
 
 
 def hq_cross(u: tuple, v: tuple) -> tuple:
     """Hybrid cross product; within each term the u factor stays left."""
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 def mul_via_scalar_vector(x: HybridQuaternion, y: HybridQuaternion) -> HybridQuaternion:
@@ -199,7 +233,6 @@ def parse_hybrid_quaternion(text: str) -> HybridQuaternion:
         coeff, u, v = factors
         if u not in _QIDX or v not in _HIDX:
             raise ValueError(f"unknown unit pair {u!r}, {v!r} in {body!r}")
-        value = parse_scalar(coeff)
         flat = 4 * _QIDX[u] + _HIDX[v]
-        coeffs[flat] = coeffs[flat] + sign * value
+        coeffs[flat] += sign * parse_scalar(coeff)
     return HybridQuaternion(coeffs)

@@ -1,10 +1,15 @@
 """Hybrid quaternions: structure constants, dual expansions, conjugates.
 
-Independent oracle: write x as a quaternion-coefficient combination of
-the four hybrid units, send each hybrid unit to its faithful 2x2
-rational matrix, and multiply the resulting quaternion-entry matrices.
-Because quaternion units commute with hybrid units, this is a faithful
-representation of the whole 16-dimensional algebra in M2(H).
+Matrix oracle: write x as a quaternion-coefficient combination of the
+four hybrid units, send each hybrid unit to its faithful 2x2 rational
+matrix, and multiply the resulting quaternion-entry matrices.  Because
+quaternion units commute with hybrid units, this is a faithful
+representation of the whole 16-dimensional algebra in M2(H).  The
+product kernel runs in this same representation, so the matrix oracle
+checks its maps in and out but shares its idea.  Independent of it are
+the two dual unit expansions, which multiply 4-dimensional values, and
+the unit-table loop below, which the kernel replaced and which pins the
+scalar type of every coefficient (hence ``repr``).
 """
 
 import random
@@ -29,7 +34,7 @@ from hybridquat.hybrid_quaternion import (
     parse_hybrid_quaternion,
     scalar_vector_form,
 )
-from hybridquat.quaternion import Quaternion
+from hybridquat.quaternion import QONE, I, J, K, Quaternion
 from hybridquat.scalars import QuadExt
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=24)
@@ -37,6 +42,54 @@ hqs = st.builds(
     lambda cs: HybridQuaternion(tuple(cs)),
     st.lists(rationals, min_size=16, max_size=16),
 )
+
+# Q(sqrt 5) values: dense ones, whose coefficients are all nonzero QuadExts,
+# and sparse or mixed ones with zeros, zero QuadExts and Fractions
+small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+quads = st.builds(lambda a, b: QuadExt(a, b, 5), small, small)
+surd_scalars = st.one_of(
+    st.just(0), st.just(QuadExt(0, 0, 5)), small, quads.filter(bool)
+)
+surd_hqs = st.one_of(
+    st.lists(quads.filter(bool), min_size=16, max_size=16),
+    st.lists(surd_scalars, min_size=16, max_size=16),
+    st.lists(st.one_of(st.just(0), quads), min_size=16, max_size=16),
+).map(lambda cs: HybridQuaternion(tuple(cs)))
+
+
+def _unit_terms():
+    """(flat index, sign) terms of e_i * e_j, from the 4-dimensional units."""
+    quats, hybrids = (QONE, I, J, K), (ONE, HI, EPS, HH)
+    terms = []
+    for i in range(16):
+        row = []
+        for j in range(16):
+            q = (quats[i // 4] * quats[j // 4]).components()
+            h = (hybrids[i % 4] * hybrids[j % 4]).components()
+            row.append([(4 * r + m, qc * hc) for r, qc in enumerate(q) if qc for m, hc in enumerate(h) if hc])
+        terms.append(row)
+    return terms
+
+
+_UNIT_TERMS = _unit_terms()
+
+
+def _table_loop(x: HybridQuaternion, y: HybridQuaternion) -> HybridQuaternion:
+    """The unit-table product loop: every coefficient starts at
+    Fraction(0), pairs with a zero factor are skipped, and each pair's
+    product is added or subtracted once per term of e_i * e_j."""
+    acc = [Fraction(0)] * 16
+    for i, a in enumerate(x.coeffs):
+        if not a:
+            continue
+        for j, b in enumerate(y.coeffs):
+            if not b:
+                continue
+            p = a * b
+            for k, sign in _UNIT_TERMS[i][j]:
+                acc[k] = acc[k] + p if sign > 0 else acc[k] - p
+    return HybridQuaternion(acc)
+
 
 # 2x2 rational matrices of the hybrid units 1, hi, eps, hh
 _HYBRID_MATS = (
@@ -146,6 +199,73 @@ def test_ring_laws(x, y, z):
     assert x * (y + z) == x * y + x * z
     # (x + y) * z = x*z + y*z
     assert (x + y) * z == x * z + y * z
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(surd_hqs, surd_hqs)
+def test_surd_products_match_both_expansions(x, y):
+    product = x * y
+    assert product == _hybrid_unit_expansion(x, y)
+    assert product == _quaternion_unit_expansion(x, y)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(surd_hqs, surd_hqs)
+def test_surd_products_keep_the_table_loops_scalar_types(x, y):
+    # a coefficient is a QuadExt only where a pair with a surd factor
+    # reaches it, else a Fraction: repr shows the difference, hash does not
+    product, expected = x * y, _table_loop(x, y)
+    assert repr(product) == repr(expected)
+    assert hash(product) == hash(expected)
+
+
+_DENSE_SURD = HybridQuaternion(tuple(QuadExt(k - 7, 3 - k % 5, 5) for k in range(16)))
+_SURD_SCALAR = HybridQuaternion.from_scalar(QuadExt(1, 2, 5))
+
+
+def _embedding_operands():
+    q = QuadExt(1, 2, 5)
+    return _all_units() + [
+        _SURD_SCALAR,
+        HybridQuaternion.from_scalar(Fraction(3, 2)),
+        HybridQuaternion.from_hybrid(Hybrid(q, 0, Fraction(1, 2), q.conjugate())),
+        HybridQuaternion.from_hybrid(Hybrid(1, -2, 3, 4)),
+        HybridQuaternion.from_quaternion(Quaternion(0, q, 2, QuadExt(0, 0, 5))),
+        HybridQuaternion.from_quaternion(Quaternion(1, 2, 3, 4)),
+        HybridQuaternion(tuple(QuadExt(k, 0, 5) for k in range(1, 17))),
+        _DENSE_SURD,
+    ]
+
+
+def test_unit_and_embedding_products_keep_the_table_loops_repr_and_hash():
+    # unit("1", "eps") times a dense Q(sqrt 5) value and from_scalar(q)
+    # squared are where a product in M2(H) leaves zero QuadExts behind
+    for x in _embedding_operands():
+        for y in (_DENSE_SURD, x, _SURD_SCALAR):
+            for a, b in ((x, y), (y, x)):
+                product, expected = a * b, _table_loop(a, b)
+                assert repr(product) == repr(expected), (a, b)
+                assert hash(product) == hash(expected)
+
+
+def test_dense_surd_product_makes_at_most_144_quadext_multiplies(monkeypatch):
+    # 8 Hamilton products of 16 multiplies and 16 halvings; the table
+    # loop makes one multiply per pair, 256
+    x = _DENSE_SURD
+    y = HybridQuaternion(tuple(QuadExt(2 * k + 1, k - 9, 5) for k in range(16)))
+    expected = _table_loop(x, y)
+    calls = []
+    multiply = QuadExt.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(QuadExt, "__mul__", counting)
+    monkeypatch.setattr(QuadExt, "__rmul__", counting)
+    product = x * y
+    assert len(calls) <= 144
+    assert product == expected
 
 
 def test_power():
