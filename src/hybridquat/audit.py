@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from functools import lru_cache
 
 from .errors import MixedDiscriminant, RationalRoots, RepeatedRoot
 from .hybrid_quaternion import HybridQuaternion
@@ -56,6 +57,7 @@ from .sequences import (
     Window,
     _conjugate,
     _outer,
+    _params,
     binet_data,
     generalized_fibonacci,
     generalized_lucas,
@@ -154,24 +156,20 @@ class _Scans:
     Recurrence windows (one per sequence, covering every lift the
     identities read at the indices a scan evaluates: w_{lo-2} up to
     hat(w)_{last+6}, where last is the span's R-th index, R the largest
-    declared order) and closed-form constants are built on first use and
-    shared by the identities of this call only; nothing outlives it.
+    declared order) are built on first use and shared by this call only.
+    Closed-form constants depend on parameters, never on the span: they are
+    kept per parameter set for the process (``_binet_constants``, ``_cassini_side``).
     """
 
     def __init__(self, span):
         self.span = lo, hi = _validate_span(span)
         self.last = min(hi, lo + max(ident.order for ident in CATALOG.values()) - 1)
-        self._built = {}
-
-    def once(self, build, *args):
-        """build(*args), evaluated at most once in this call."""
-        key = (build, args)
-        if key not in self._built:
-            self._built[key] = build(*args)
-        return self._built[key]
+        self._windows = {}
 
     def lifts(self, seq) -> Window:
-        return self.once(Window, seq, self.span[0] - 2, self.last + 12)
+        if seq not in self._windows:
+            self._windows[seq] = Window(seq, self.span[0] - 2, self.last + 12)
+        return self._windows[seq]
 
     def report(self, identity_id, sequence, prepare, order) -> IdentityReport:
         """prepare(self) builds the right-hand side's constants and returns
@@ -192,6 +190,12 @@ def _breve(w: Window, n: int) -> HybridQuaternion:
 # -- Binet forms ------------------------------------------------------------
 
 
+@lru_cache(maxsize=128)
+def _binet_constants(params):
+    """binet_data(params) once per parameter set, looked up here at each build."""
+    return binet_data(params)
+
+
 def _binet(seq, weight=None):
     """Thm 2.1: recurrence lift against the Q(sqrt(D)) closed form.
 
@@ -200,7 +204,7 @@ def _binet(seq, weight=None):
 
     def prepare(s):
         lo = s.span[0]
-        data = s.once(binet_data, seq)
+        data = _binet_constants(_params(seq))
         if weight:
             A = weight(data.alpha, data.beta)
             data = data._replace(A=A, B=A.conjugate())
@@ -302,6 +306,7 @@ def _total_conjugate_breve(s):
 # -- Cassini ------------------------------------------------------------------
 
 
+@lru_cache(maxsize=128)
 def _cassini_bracket(p, q):
     """1/(alpha - beta) and the bracket
     alpha alpha* beta* alpha_under beta_under - beta beta* alpha* beta_under alpha_under.
@@ -309,25 +314,22 @@ def _cassini_bracket(p, q):
     By the identities in the module docstring, alpha times the first chain
     is the outer product v of alpha*(alpha* beta*) and alpha_under beta_under,
     and the bracket is v - conj(v)."""
-    data = binet_data(HoradamParams(0, 1, p, q))
+    data = _binet_constants(HoradamParams(0, 1, p, q))
     v = _outer(data.alpha * (data.alpha_star * data.beta_star), data.alpha_under * data.beta_under)
     return (data.alpha - data.beta).inverse(), v - _conjugate(v)
 
 
-def _cassini_fibonacci(p, q):
+@lru_cache(maxsize=128)
+def _cassini_side(seq, p, q):
+    """The right side's constant: bracket/(alpha - beta), or sqrt(5)*bracket for Lucas."""
+    inv_spread, bracket = _cassini_bracket(p, q)
+    return (QuadExt(0, 1, 5) if seq == LUCAS else inv_spread) * bracket
+
+
+def _cassini(seq, p, q):
     def prepare(s):
-        inv_spread, bracket = s.once(_cassini_bracket, p, q)
-        scaled = inv_spread * bracket
-        hat = s.lifts(FIBONACCI).hybrid_quaternion
-        return lambda n: [hat(n + 1) * hat(n - 1) - hat(n) * hat(n), _signed(n, scaled)]
-
-    return prepare
-
-
-def _cassini_lucas(p, q):
-    def prepare(s):
-        scaled = QuadExt(0, 1, 5) * s.once(_cassini_bracket, p, q)[1]
-        hat = s.lifts(LUCAS).hybrid_quaternion
+        scaled = _cassini_side(seq, p, q)
+        hat = s.lifts(seq).hybrid_quaternion
         return lambda n: [hat(n + 1) * hat(n - 1) - hat(n) * hat(n), _signed(n, scaled)]
 
     return prepare
@@ -386,10 +388,10 @@ CATALOG = {
         # ii: hat(L)_n = alpha_star alpha_under alpha^n + beta_star beta_under beta^n
         _Identity("Thm3.4.i", _LINEAR, (FIBONACCI, _binet(FIBONACCI, lambda a, b: 1 / (a - b)))),
         _Identity("Thm3.4.ii", _LINEAR, (LUCAS, _binet(LUCAS, lambda a, b: 1))),
-        _Identity("C1@x^2-x-1", _CASSINI, (FIBONACCI, _cassini_fibonacci(1, -1))),
-        _Identity("C2@x^2-x-1", _CASSINI, (LUCAS, _cassini_lucas(1, -1))),
-        _Identity("C1@x^2-2x-1", _CASSINI, (FIBONACCI, _cassini_fibonacci(2, -1))),
-        _Identity("C2@x^2-2x-1", _CASSINI, (LUCAS, _cassini_lucas(2, -1))),
+        _Identity("C1@x^2-x-1", _CASSINI, (FIBONACCI, _cassini(FIBONACCI, 1, -1))),
+        _Identity("C2@x^2-x-1", _CASSINI, (LUCAS, _cassini(LUCAS, 1, -1))),
+        _Identity("C1@x^2-2x-1", _CASSINI, (FIBONACCI, _cassini(FIBONACCI, 2, -1))),
+        _Identity("C2@x^2-2x-1", _CASSINI, (LUCAS, _cassini(LUCAS, 2, -1))),
     )
 }
 

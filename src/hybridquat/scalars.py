@@ -16,6 +16,7 @@ All arithmetic is exact; nothing here ever touches floating point.
 from __future__ import annotations
 
 import sys
+from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +32,7 @@ Rational = Fraction
 # Field identity never depends on the limit: Q(sqrt(d1)) = Q(sqrt(d2))
 # iff d1*d2 is a perfect square, which isqrt decides for any size.
 _TRIAL_LIMIT = 1_000_000
+_LARGE_PARTS = deque(maxlen=16)  # recent squarefree parts in (_TRIAL_LIMIT, _TRIAL_LIMIT**3]
 
 
 def _as_fraction(value) -> Fraction:
@@ -68,10 +70,14 @@ def split_square(n: int) -> tuple[int, int]:
     Each factor f is divided out completely while f**3 <= rest.  What is
     left then has no prime factor below f and at most two above it, so it
     is 1, p, p*q or p*p, and one isqrt tells the square apart.  Results
-    are memoised, so many values built over one large D divide once.
+    are memoised, and a square multiple of a recent large part, which
+    lies in its field (_surd_ratio), is split without dividing again.
     """
     if n <= 0:
         raise ValueError("split_square needs a positive integer")
+    for d in _LARGE_PARTS:
+        if _surd_ratio(n, d):
+            return isqrt(n // d), d
     square, free, rest = 1, 1, n
     f = 2
     while f * f * f <= rest and f <= _TRIAL_LIMIT:
@@ -87,6 +93,8 @@ def split_square(n: int) -> tuple[int, int]:
     root = isqrt(rest)
     if root * root == rest:
         return square * root, free
+    if _TRIAL_LIMIT < free * rest <= _TRIAL_LIMIT**3:  # exact, and dear to divide again
+        _LARGE_PARTS.append(free * rest)
     return square, free * rest
 
 

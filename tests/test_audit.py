@@ -21,7 +21,9 @@ from hybridquat.audit import (
     _Identity,
     _Scans,
     _binet,
+    _binet_constants,
     _cassini_bracket,
+    _cassini_side,
     audit_all,
     check_binet,
     check_cassini,
@@ -31,7 +33,9 @@ from hybridquat.audit import (
     reports_to_json,
 )
 from hybridquat.errors import MixedDiscriminant, RationalRoots, RepeatedRoot
+from hybridquat.hybrid import Hybrid
 from hybridquat.hybrid_quaternion import HybridQuaternion
+from hybridquat.quaternion import Quaternion
 from hybridquat.sequences import (
     FIBONACCI,
     JACOBSTHAL,
@@ -353,7 +357,12 @@ def _count_calls(monkeypatch, module, name, log):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_one_window_per_sequence_and_one_binet_build_per_call(monkeypatch):
+def _clear_constant_caches():
+    for cache in (_binet_constants, _cassini_bracket, _cassini_side):
+        cache.cache_clear()
+
+
+def test_one_window_per_sequence_per_call_and_one_binet_build_per_parameter_set(monkeypatch):
     windows, builds = [], []
     _count_calls(monkeypatch, hybridquat.sequences, "window", windows)
     for module in (hybridquat.sequences, hybridquat.audit):
@@ -370,11 +379,80 @@ def test_one_window_per_sequence_and_one_binet_build_per_call(monkeypatch):
         check(SPAN)
         assert sorted(windows, key=str) == sorted(sequences, key=str), check.__name__
 
-    windows.clear()
-    builds.clear()
-    assert check_binet(FIBONACCI, SPAN).status == "VERIFIED"
-    assert windows == [FIBONACCI]
-    assert builds == [FIBONACCI]
+    # the closed-form constants depend on the parameters only, so they are
+    # built on the first call of the process and read by every later one
+    _binet_constants.cache_clear()
+    for expected_builds in ([FIBONACCI.params], []):
+        windows.clear()
+        builds.clear()
+        assert check_binet(FIBONACCI, SPAN).status == "VERIFIED"
+        assert windows == [FIBONACCI]
+        assert builds == expected_builds
+
+
+# far negative spans, and spans shorter than the Cassini order 3
+SPANS = st.tuples(st.one_of(st.integers(-40, 40), st.integers(-3000, -1000)), st.integers(0, 4))
+
+
+@hypothesis.settings(deadline=None, max_examples=8)
+@hypothesis.given(SPANS)
+def test_cold_and_warm_constants_give_byte_identical_reports(start_and_length):
+    lo, length = start_and_length
+    span = (lo, lo + length)
+    cold = {}
+    for key, run in CATALOG.items():
+        _clear_constant_caches()
+        cold[key] = reports_to_json(run(span))
+        assert reports_to_json(run(span)) == cold[key], (key, span)
+    # warm from whichever id built each constant first
+    assert {key: reports_to_json(run(span)) for key, run in CATALOG.items()} == cold
+    _clear_constant_caches()
+    everything = reports_to_json(audit_all(span))
+    assert reports_to_json(audit_all(span)) == everything
+
+
+def test_a_second_cassini_call_forms_no_constant(monkeypatch):
+    CATALOG["C1@x^2-x-1"](SPAN)
+    products, builds = [], []
+    for cls in (Hybrid, Quaternion):
+        for name in ("__mul__", "__rmul__"):
+            real = getattr(cls, name)
+
+            def counted(x, y, real=real):
+                products.append((x, y))
+                return real(x, y)
+
+            monkeypatch.setattr(cls, name, counted)
+    for module in (hybridquat.sequences, hybridquat.audit):
+        _count_calls(monkeypatch, module, "binet_data", builds)
+    assert [r.status for r in CATALOG["C1@x^2-x-1"](SPAN)] == ["VERIFIED"]
+    assert products == [] and builds == []
+
+
+def test_thm34_weights_never_reach_the_thm21_constants():
+    _clear_constant_caches()
+    first = CATALOG["Thm2.1"](SPAN)
+    weighted = CATALOG["Thm3.4.i"](SPAN) + CATALOG["Thm3.4.ii"](SPAN)
+    assert [r.status for r in weighted] == ["VERIFIED", "VERIFIED"]
+    assert CATALOG["Thm2.1"](SPAN) == first
+    # and the other way round: the weighted ids build Fibonacci's and
+    # Lucas's constants first
+    _clear_constant_caches()
+    assert CATALOG["Thm3.4.i"](SPAN) + CATALOG["Thm3.4.ii"](SPAN) == weighted
+    assert CATALOG["Thm2.1"](SPAN) == first
+    for seq in (FIBONACCI, LUCAS):
+        assert _binet_constants(seq.params) == binet_data(seq)
+
+
+def test_the_binet_constants_stay_bounded():
+    size = _binet_constants.cache_info().maxsize
+    _binet_constants.cache_clear()
+    # x^2 - px + 1 has irrational roots for every p >= 3
+    for p in range(3, size + 8):
+        assert check_binet(HoradamParams(0, 1, p, 1), (0, 0)).status == "VERIFIED"
+    info = _binet_constants.cache_info()
+    assert info.misses == size + 5
+    assert info.currsize <= size
 
 
 def test_binet_scans_build_one_table_per_sequence(monkeypatch):

@@ -436,6 +436,28 @@ def test_mul_over_a_large_discriminant_factors_it_once(cli):
     assert split_square.cache_info().misses == 1
 
 
+def test_mul_over_sixteen_spellings_of_one_field_factors_once(cli, monkeypatch):
+    # sqrt(k*k*D) = k*sqrt(D): after the first spelling is divided, each
+    # later one lies in its field and is split by one isqrt.  Every trial
+    # division that ends in a part in (10**6, 10**18] records it, so one
+    # record is one division
+    from collections import deque
+
+    from hybridquat import scalars
+
+    big = 999999999999999989
+    monkeypatch.setattr(scalars, "_LARGE_PARTS", deque(maxlen=16))
+    scalars.split_square.cache_clear()
+    row = ",".join(f"sqrt({k * k * big})" for k in range(1, 17))
+    code, out, err = cli(["mul"], stdin_text=row + "\n" + row + "\n")
+    assert (code, err) == (0, "")
+    assert list(scalars._LARGE_PARTS) == [big]
+    assert scalars.split_square.cache_info().misses == 16
+    # the product of the same line written over the one D
+    row = ",".join(f"{k}*sqrt({big})" for k in range(1, 17))
+    assert cli(["mul"], stdin_text=row + "\n" + row + "\n") == (0, out, "")
+
+
 def test_mul_needs_two_lines(cli):
     code, _, err = cli(["mul"], stdin_text=IDENTITY_ROW + "\n")
     assert code == 2

@@ -2,12 +2,14 @@
 
 import re
 import sys
+from collections import deque
 from fractions import Fraction
 
 import hypothesis
 import hypothesis.strategies as st
 import pytest
 
+import hybridquat.scalars
 from hybridquat.errors import (
     DivisionByZero,
     MixedDiscriminant,
@@ -72,6 +74,40 @@ def test_split_square_at_the_cube_root_stop(p, q):
     if p**3 <= 10**18:
         assert split_square(p**3) == (p, p)
         assert split_square(p * p * q) == (p, q)
+
+
+BIG_PRIME = 999999999999999989  # the largest prime below 10**18
+
+
+def test_square_multiples_of_a_large_part_divide_once(monkeypatch):
+    # every trial division that ends in a part in (10**6, 10**18] records
+    # it, so one record is one division: after D is split, each k*k*D lies
+    # in its field and is split by one isqrt
+    monkeypatch.setattr(hybridquat.scalars, "_LARGE_PARTS", deque(maxlen=16))
+    split_square.cache_clear()
+    for k in range(1, 17):
+        assert split_square(k * k * BIG_PRIME) == (k, BIG_PRIME)
+    assert list(hybridquat.scalars._LARGE_PARTS) == [BIG_PRIME]
+    assert repr(QuadExt(0, 1, -9 * BIG_PRIME)) == repr(QuadExt(0, 3, -BIG_PRIME))
+    # another field is divided; a part past 10**18 may keep a square
+    # factor, so it is not recorded
+    assert split_square(2 * BIG_PRIME) == (1, 2 * BIG_PRIME)
+    assert split_square(1000003 * 1000033) == (1, 1000003 * 1000033)
+    assert list(hybridquat.scalars._LARGE_PARTS) == [BIG_PRIME, 1000003 * 1000033]
+
+
+@hypothesis.settings(deadline=None, max_examples=30)
+@hypothesis.given(st.integers(10**6 + 1, 10**8), st.integers(1, 1000))
+def test_a_recorded_part_splits_as_trial_division_does(d, k):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hybridquat.scalars, "_LARGE_PARTS", deque(maxlen=16))
+        split_square.cache_clear()
+        divided = split_square(k * k * d)
+        mp.setattr(hybridquat.scalars, "_LARGE_PARTS", deque(maxlen=16))
+        split_square.cache_clear()
+        part = split_square(d)[1]
+        assert list(hybridquat.scalars._LARGE_PARTS) == [part] * (part > 10**6)
+        assert split_square(k * k * d) == divided
 
 
 # -- construction and normalization --------------------------------------
