@@ -6,8 +6,8 @@ every sign is +1 or -1.  ``Hybrid``, ``Quaternion`` and
 ``HybridQuaternion`` subclass ``Element`` with their coefficient names
 and their own extras; sums, products, scaling, negation, equality,
 hashing and rendering live here.  So does the one table loop,
-``_product``, which serves the two 4-dimensional algebras through their
-tables; ``HybridQuaternion`` overrides it with a product in M2(H).
+``_product``, which serves all three algebras through their tables;
+``HybridQuaternion`` sends dense operands to a product in M2(H) instead.
 
 A value with only rational coefficients is held as integer numerators
 over one positive common denominator, divided through by the gcd of all
@@ -54,20 +54,29 @@ class Element:
         cls.__mul__, cls.__rmul__ = cls.__mul__, cls.__rmul__
 
     def __init__(self, coeffs):
-        values = tuple(coeffs)
-        if len(values) != len(self._FIELDS):
-            raise ValueError(f"need {len(self._FIELDS)} coefficients, got {len(values)}")
-        den = 1
-        rational = True
-        for name, v in zip(self._FIELDS, values):
+        """Items are checked as they arrive: an item of bad type, or a surd
+        outside the first surd's field, raises before later items are read; a
+        wrong count raises once every item that has a field has passed."""
+        items = iter(coeffs)
+        values = []
+        den = 1  # lcm of the denominators, None once a QuadExt arrives
+        surds = []  # each must lift into the first one's field
+        for name, v in zip(self._FIELDS, items):
             if isinstance(v, Fraction):
-                den = lcm(den, v.denominator)
+                den = den and lcm(den, v.denominator)
             elif isinstance(v, QuadExt):
-                rational = False
+                den = None
+                if v.surd_part:
+                    surds.append(v)
+                    surds[0]._lift(v)
             elif not isinstance(v, int):
                 kind = type(self).__name__
                 raise TypeError(f"{kind} coefficient {name} of bad type {type(v).__name__}")
-        if rational:
+            values.append(v)
+        count = len(values) + sum(1 for _ in items)
+        if count != len(self._FIELDS):
+            raise ValueError(f"need {len(self._FIELDS)} coefficients, got {count}")
+        if den:
             # reduced fractions over the lcm of their denominators already
             # have content gcd 1
             self._num = tuple([v.numerator * (den // v.denominator) for v in values])
@@ -75,10 +84,6 @@ class Element:
         else:
             self._num = tuple([Fraction(v) if isinstance(v, int) else v for v in values])
             self._den = None
-            # every surd must lift into the first one's field, as in QuadExt arithmetic
-            surds = [v for v in values if isinstance(v, QuadExt) and v.surd_part]
-            for v in surds[1:]:
-                surds[0]._lift(v)
 
     @classmethod
     def _from_values(cls, values):

@@ -307,23 +307,17 @@ def _total_conjugate_breve(s):
 
 
 @lru_cache(maxsize=128)
-def _cassini_bracket(p, q):
-    """1/(alpha - beta) and the bracket
-    alpha alpha* beta* alpha_under beta_under - beta beta* alpha* beta_under alpha_under.
-
-    By the identities in the module docstring, alpha times the first chain
-    is the outer product v of alpha*(alpha* beta*) and alpha_under beta_under,
-    and the bracket is v - conj(v)."""
-    data = _binet_constants(HoradamParams(0, 1, p, q))
-    v = _outer(data.alpha * (data.alpha_star * data.beta_star), data.alpha_under * data.beta_under)
-    return (data.alpha - data.beta).inverse(), v - _conjugate(v)
-
-
-@lru_cache(maxsize=128)
 def _cassini_side(seq, p, q):
-    """The right side's constant: bracket/(alpha - beta), or sqrt(5)*bracket for Lucas."""
-    inv_spread, bracket = _cassini_bracket(p, q)
-    return (QuadExt(0, 1, 5) if seq == LUCAS else inv_spread) * bracket
+    """The right side's constant: bracket/(alpha - beta), or sqrt(5)*bracket
+    for Lucas, the factor lifted into the roots' field (or raising) first.
+    By the module docstring's identities, alpha times the bracket's first
+    chain alpha* beta* alpha_under beta_under is the outer product v of
+    alpha*(alpha* beta*) and alpha_under beta_under, and the bracket is v - conj(v)."""
+    data = _binet_constants(HoradamParams(0, 1, p, q))
+    alpha = data.alpha
+    factor = alpha._lift(QuadExt(0, 1, 5) if seq == LUCAS else (alpha - data.beta).inverse())
+    v = _outer(alpha * (data.alpha_star * data.beta_star), data.alpha_under * data.beta_under)
+    return factor * (v - _conjugate(v))
 
 
 def _cassini(seq, p, q):

@@ -22,10 +22,9 @@ import sys
 from .audit import CATALOG, DEFAULT_SPAN, REFUTED, audit_all, reports_to_json
 from .errors import HybridQuatError, RationalRoots
 from .hybrid_quaternion import COLUMN_NAMES, HybridQuaternion
-from .scalars import QuadExt, parse_fraction, parse_scalar, unlimited_digits
+from .scalars import parse_fraction, parse_scalar, unlimited_digits
 from .sequences import LIFT_TERMS, REGISTRY, HoradamParams, _layout, binet_data, window
 
-LIFTS = ("scalar", "hybrid", "quaternion", "hybrid-quaternion")
 METHODS = ("recurrence", "binet")
 FORMATS = ("csv", "json")
 
@@ -114,17 +113,9 @@ def _read_operand(line: str, which: str) -> HybridQuaternion:
     fields = line.split(",")
     if len(fields) != 16:
         raise UsageError(f"{which} operand: expected 16 coefficients, got {len(fields)}")
-    coeffs, surds = [], []
     try:
-        for field in fields:
-            c = parse_scalar(field.strip())
-            if isinstance(c, QuadExt) and c.surd_part:
-                # every surd must lift into the first one's field; stop at the
-                # first that does not, before parsing (and factoring) the rest
-                surds.append(c)
-                surds[0]._lift(c)
-            coeffs.append(c)
-        return HybridQuaternion(coeffs)
+        # Element stops at the first foreign surd, before the rest are parsed
+        return HybridQuaternion(parse_scalar(f.strip()) for f in fields)
     except (ValueError, HybridQuatError) as exc:
         raise UsageError(f"{which} operand: {exc}") from None
 
@@ -170,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     seq.add_argument("--from", dest="lo", type=int, required=True, metavar="N")
     seq.add_argument("--to", dest="hi", type=int, required=True, metavar="N")
-    seq.add_argument("--lift", choices=LIFTS, default="scalar")
+    seq.add_argument("--lift", choices=LIFT_TERMS, default="scalar")
     seq.add_argument("--method", choices=METHODS, default="recurrence")
     seq.add_argument("--format", dest="fmt", choices=FORMATS, default="csv")
 

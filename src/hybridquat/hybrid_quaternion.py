@@ -10,9 +10,9 @@ Quaternion units commute with hybrid units, and hi, eps and hh act as
 the real 2x2 matrices [[0, 1], [-1, 0]], [[1, -1], [1, -1]] and
 [[0, 1], [1, 0]] (Ozdemir, Adv. Appl. Clifford Algebras 28, 2018), so
 a hybrid quaternion is a 2x2 matrix of quaternions, M2(H), and a dense
-product is 8 Hamilton products: 128 scalar multiplies, where the tensor
-product of the two 4-dimensional unit tables takes up to 256.  Sparse
-operands walk that tensor product.  Storage is ``algebra.Element``'s.
+product is 8 Hamilton products: 128 scalar multiplies, where the table
+loop of ``algebra.Element`` over the tensor product of the two unit
+tables takes up to 256; it serves sparse operands.  Storage is Element's.
 The two 4-coefficient presentations (hybrid coefficients of 1, i, j, k
 and quaternion coefficients of 1, hi, eps, hh) view the same values.
 """
@@ -57,27 +57,17 @@ def _matrix(x) -> tuple:
             tuple(map(sub, map(add, c, d), b)), tuple(map(sub, a, c)))
 
 
-def _tensor_walk(x, y, zero) -> tuple:
-    """The table loop of ``Element._product`` over e_(4s+t) * e_(4s'+t')
-    = (u_s u_s') x (v_t v_t'), read off the two 4-dimensional tables."""
-    acc = [zero] * 16
-    for i, a in enumerate(x):
-        if a:
-            quaternions, hybrids = Quaternion._TABLE[i >> 2], Hybrid._TABLE[i & 3]
-            for j, b in enumerate(y):
-                if b:
-                    p = a * b  # once per pair, added or subtracted per term
-                    ((r, sign),) = quaternions[j >> 2]
-                    for m, h in hybrids[j & 3]:
-                        k = 4 * r + m
-                        acc[k] = acc[k] + p if sign == h else acc[k] - p
-    return tuple(acc)
-
-
 class HybridQuaternion(Element):
     __slots__ = ()
     _FIELDS = COLUMN_NAMES
     _UNITS = tuple(f"{u}*{v}" for u, v in CANONICAL_PAIRS)
+    # e_(4a+b) * e_(4c+d) = (u_a u_c) x (v_b v_d): with u_a u_c = s*u_r, the
+    # pairs (4r + m, s*h) for the terms h*v_m of v_b v_d, in the hybrid table's order
+    _TABLE = tuple(
+        tuple(tuple((4 * r + m, s * h) for m, h in hs) for ((r, s),) in qrow for hs in hrow)
+        for qrow in Quaternion._TABLE
+        for hrow in Hybrid._TABLE
+    )
 
     coeffs = property(lambda self: self.components(), doc="the 16 coefficients")
 
@@ -87,7 +77,7 @@ class HybridQuaternion(Element):
     def _product(self, x, y, zero) -> tuple:
         """Coefficients of x*y; ``zero`` is 0 for ints, else Fraction(0).
 
-        ``_tensor_walk`` takes ints with at most 32 nonzero pairs, where it is
+        The table loop takes ints with at most 32 nonzero pairs, where it is
         faster (a unit has 16), and scalars unless all are nonzero QuadExts of
         one D, so a Fraction stays where no surd pair reaches (not 0*sqrt(D))."""
         if zero.__class__ is int:
@@ -96,7 +86,7 @@ class HybridQuaternion(Element):
             d = getattr(x[0], "discriminant", 0)
             dense = d and all(v and getattr(v, "discriminant", 0) == d for v in x + y)
         if not dense:
-            return _tensor_walk(x, y, zero)
+            return super()._product(x, y, zero)
         (x00, x01, x10, x11), (y00, y01, y10, y11) = _matrix(x), _matrix(y)
         z00 = tuple(map(add, _hamilton(x00, y00), _hamilton(x01, y10)))
         z01 = tuple(map(add, _hamilton(x00, y01), _hamilton(x01, y11)))

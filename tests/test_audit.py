@@ -22,7 +22,6 @@ from hybridquat.audit import (
     _Scans,
     _binet,
     _binet_constants,
-    _cassini_bracket,
     _cassini_side,
     audit_all,
     check_binet,
@@ -36,6 +35,7 @@ from hybridquat.errors import MixedDiscriminant, RationalRoots, RepeatedRoot
 from hybridquat.hybrid import Hybrid
 from hybridquat.hybrid_quaternion import HybridQuaternion
 from hybridquat.quaternion import Quaternion
+from hybridquat.scalars import QuadExt
 from hybridquat.sequences import (
     FIBONACCI,
     JACOBSTHAL,
@@ -214,11 +214,15 @@ def _closed_form_row(prepare, n):
 
 
 def _assert_closed_forms_are_literal(p, q, ns):
-    """The Cassini bracket and the Thm 3.4 rows on the roots of x^2 - px + q
-    equal alpha^n x -+ beta^n y (over alpha - beta for i), x and y built
-    by 16-dim products from their own root factors, down to every
-    coefficient's repr."""
-    assert repr(_cassini_bracket(p, q)) == repr(_printed_order_bracket(p, q))
+    """The Cassini right sides and the Thm 3.4 rows on the roots of
+    x^2 - px + q equal the printed bracket over alpha - beta (and, for
+    x^2 - x - 1, sqrt(5) times it) and alpha^n x -+ beta^n y (over
+    alpha - beta for i), x and y built by 16-dim products from their own
+    root factors, down to every coefficient's repr."""
+    inv_spread, bracket = _printed_order_bracket(p, q)
+    assert repr(_cassini_side(FIBONACCI, p, q)) == repr(inv_spread * bracket)
+    if (p, q) == (1, -1):
+        assert repr(_cassini_side(LUCAS, p, q)) == repr(QuadExt(0, 1, 5) * bracket)
     params = HoradamParams(0, 1, p, q)
     data = binet_data(params)
     embed_h, embed_q = HybridQuaternion.from_hybrid, HybridQuaternion.from_quaternion
@@ -358,7 +362,7 @@ def _count_calls(monkeypatch, module, name, log):
 
 
 def _clear_constant_caches():
-    for cache in (_binet_constants, _cassini_bracket, _cassini_side):
+    for cache in (_binet_constants, _cassini_side):
         cache.cache_clear()
 
 
@@ -427,6 +431,24 @@ def test_a_second_cassini_call_forms_no_constant(monkeypatch):
         _count_calls(monkeypatch, module, "binet_data", builds)
     assert [r.status for r in CATALOG["C1@x^2-x-1"](SPAN)] == ["VERIFIED"]
     assert products == [] and builds == []
+
+
+def test_span_bounds_must_be_integers():
+    with pytest.raises(TypeError, match="^span bounds must be integers$"):
+        audit_all((0.5, 3))
+
+
+def test_a_foreign_cassini_factor_raises_on_every_call_before_any_bracket(monkeypatch):
+    outers = []
+    _count_calls(monkeypatch, hybridquat.audit, "_outer", outers)
+    _clear_constant_caches()
+    for _ in range(2):
+        with pytest.raises(MixedDiscriminant):
+            _cassini_side(LUCAS, 2, -1)
+        reports = CATALOG["C2@x^2-2x-1"](SPAN)
+        assert [r.status_label() for r in reports] == ["UNEVALUABLE(MixedDiscriminant)"]
+    assert outers == []
+    assert _cassini_side.cache_info().currsize == 0
 
 
 def test_thm34_weights_never_reach_the_thm21_constants():

@@ -217,6 +217,48 @@ def test_negative_range_needs_invertible_q(cli):
     assert "q = 0" in err
 
 
+def test_params_needs_four_fields(cli):
+    code, out, err = cli(["seq", "--params", "0,1,1", "--from", "0", "--to", "1"])
+    assert (code, out, err) == (2, "", "error: --params needs w0,w1,p,q (got 3 fields)\n")
+
+
+SEQ_USAGE = """\
+usage: hybridquat seq [-h] [--sequence SEQUENCE] [--params PARAMS] --from N
+                      --to N
+                      [--lift {scalar,hybrid,quaternion,hybrid-quaternion}]
+                      [--method {recurrence,binet}] [--format {csv,json}]
+"""
+
+SEQ_HELP = SEQ_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --sequence SEQUENCE   registry name, e.g. fibonacci or pell-lucas
+  --params PARAMS       w0,w1,p,q as rationals; overrides --sequence when both
+                        are given
+  --from N
+  --to N
+  --lift {scalar,hybrid,quaternion,hybrid-quaternion}
+  --method {recurrence,binet}
+  --format {csv,json}
+
+hybrid-quaternion coefficient order: c_1_1, c_1_hi, c_1_eps, c_1_hh, c_i_1,
+c_i_hi, c_i_eps, c_i_hh, c_j_1, c_j_hi, c_j_eps, c_j_hh, c_k_1, c_k_hi,
+c_k_eps, c_k_hh (quaternion unit slowest, hybrid unit fastest)
+"""
+
+
+def test_seq_help_lists_the_lifts_in_their_order(cli, monkeypatch):
+    # the --lift choices are the keys of sequences.LIFT_TERMS
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli(["seq", "--help"]) == (0, SEQ_HELP, "")
+    code, out, err = cli(["seq", "--from", "0", "--to", "1", "--lift", "octonion"])
+    assert (code, out) == (2, "")
+    assert err == SEQ_USAGE + (
+        "hybridquat seq: error: argument --lift: invalid choice: 'octonion' "
+        "(choose from 'scalar', 'hybrid', 'quaternion', 'hybrid-quaternion')\n"
+    )
+
+
 def test_seq_requires_a_sequence(cli):
     code, _, err = cli(["seq", "--from", "0", "--to", "5"])
     assert code == 2

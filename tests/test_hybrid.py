@@ -19,6 +19,7 @@ import pytest
 
 from hybridquat.errors import MixedDiscriminant
 from hybridquat.hybrid import EPS, HH, HI, ONE, Hybrid
+from hybridquat.quaternion import Quaternion
 from hybridquat.scalars import QuadExt
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=40)
@@ -171,6 +172,23 @@ def test_surd_free_quadext_equals_rational():
     ints = Hybrid(*values)
     for other in (Hybrid(*map(Fraction, values)), Hybrid(*(QuadExt(v, 0, 5) for v in values))):
         assert ints == other and hash(ints) == hash(other)
+
+
+def test_values_of_another_algebra_or_a_float_do_not_mix():
+    x, q = Hybrid(1, 0, 0, 0), Quaternion(1, 0, 0, 0)
+    for expr, op, right in (
+        (lambda: x + q, "+", "Quaternion"),
+        (lambda: x - q, "-", "Quaternion"),
+        (lambda: x * 1.5, "*", "float"),
+    ):
+        message = f"unsupported operand type(s) for {op}: 'Hybrid' and '{right}'"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            expr()
+    with pytest.raises(TypeError, match=re.escape("for *: 'float' and 'Hybrid'")):
+        1.5 * x
+    # equal coefficients in two algebras are two values
+    assert x != q and not x == q and x != 1
+    assert not Hybrid.zero() and x
 
 
 def test_mixed_discriminants_rejected():

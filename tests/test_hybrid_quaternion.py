@@ -13,12 +13,14 @@ scalar type of every coefficient (hence ``repr``).
 """
 
 import random
+import re
 from fractions import Fraction
 
 import hypothesis
 import hypothesis.strategies as st
 import pytest
 
+from hybridquat import hybrid, quaternion
 from hybridquat.errors import MixedDiscriminant
 from hybridquat.hybrid import EPS, HH, HI, ONE, Hybrid
 from hybridquat.hybrid_quaternion import (
@@ -268,6 +270,39 @@ def test_dense_surd_product_makes_at_most_144_quadext_multiplies(monkeypatch):
     assert product == expected
 
 
+def test_table_is_the_sparse_kronecker_product_of_the_two_unit_tables():
+    # e_(4s+t) * e_(4u+v) = (u_s u_u) x (v_t v_v): coordinate 4r+m is the
+    # product of the quaternion coordinate r and the hybrid coordinate m
+    kron = [
+        [
+            [qc * hc for qc in quaternion.UNIT_PRODUCTS[s][u] for hc in hybrid.UNIT_PRODUCTS[t][v]]
+            for u in range(4)
+            for v in range(4)
+        ]
+        for s in range(4)
+        for t in range(4)
+    ]
+    sparse = tuple(
+        tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row) for row in kron
+    )
+    assert HybridQuaternion._TABLE == sparse
+
+
+def test_construction_reads_a_generator_only_up_to_the_first_foreign_surd():
+    read = []
+    values = [QuadExt(0, 1, 5), 1, QuadExt(1, 2, 5), QuadExt(0, 1, 2), QuadExt(0, 1, 3)] + [0] * 11
+
+    def fields():
+        for k, value in enumerate(values):
+            read.append(k)
+            yield value
+
+    message = "sqrt(5) and sqrt(2) do not live in a common quadratic field"
+    with pytest.raises(MixedDiscriminant, match=re.escape(message)):
+        HybridQuaternion(fields())
+    assert read == [0, 1, 2, 3]
+
+
 def test_power():
     x = HybridQuaternion.unit("i", "hi")
     assert x ** 0 == HybridQuaternion.from_scalar(1)
@@ -275,6 +310,16 @@ def test_power():
     assert x ** 5 == x * x * x * x * x
     with pytest.raises(ValueError):
         x ** -1
+    with pytest.raises(
+        TypeError,
+        match=re.escape("unsupported operand type(s) for ** or pow(): 'HybridQuaternion' and 'float'"),
+    ):
+        x ** 1.5
+
+
+def test_hq_mul_takes_two_hybrid_quaternions():
+    with pytest.raises(TypeError, match="^hq_mul expects two HybridQuaternion values$"):
+        hq_mul(HybridQuaternion.unit("i", "hi"), 2)
 
 
 def test_power_squares_only_up_to_the_top_bit(monkeypatch):
@@ -507,7 +552,23 @@ def test_record_interface():
 
 
 def test_construction_validation():
-    with pytest.raises(ValueError):
-        HybridQuaternion((1, 2, 3))
-    with pytest.raises(TypeError):
-        HybridQuaternion((1.5,) + (0,) * 15)
+    root5, root2 = QuadExt(0, 1, 5), QuadExt(0, 1, 2)
+    mixed = "sqrt(5) and sqrt(2) do not live in a common quadratic field"
+    bad_float = "HybridQuaternion coefficient c_1_eps of bad type float"
+    cases = [
+        # one fault each
+        ((1, 2, 3), ValueError, "need 16 coefficients, got 3"),
+        ((0,) * 17, ValueError, "need 16 coefficients, got 17"),
+        ((0, 0, 1.5) + (0,) * 13, TypeError, bad_float),
+        ((root5, 0, 0, root2) + (0,) * 12, MixedDiscriminant, mixed),
+        # two faults: the earlier item's is reported
+        ((root5, 0, 1.5, root2) + (0,) * 12, TypeError, bad_float),
+        ((root5, root2, 1.5) + (0,) * 13, MixedDiscriminant, mixed),
+        # a count fault is reported once every item with a field passed
+        ((root5, root2), MixedDiscriminant, mixed),
+        ((0, 0, 1.5) + (0,) * 14, TypeError, bad_float),
+        ((0,) * 16 + (1.5,), ValueError, "need 16 coefficients, got 17"),
+    ]
+    for coeffs, error, message in cases:
+        with pytest.raises(error, match=re.escape(message)):
+            HybridQuaternion(coeffs)

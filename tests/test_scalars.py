@@ -46,6 +46,8 @@ def test_split_square_goldens():
     assert split_square(17) == (1, 17)
     assert split_square(50) == (5, 2)
     assert split_square(4 * 49 * 3) == (14, 3)
+    with pytest.raises(ValueError, match="^split_square needs a positive integer$"):
+        split_square(0)
 
 
 def _squarefree(d):
@@ -138,6 +140,8 @@ def test_discriminant_must_be_an_int():
     for bad in (5.5, "5", Fraction(5)):
         with pytest.raises(TypeError):
             QuadExt(1, 1, bad)
+    with pytest.raises(TypeError, match="^expected an exact rational, got float$"):
+        QuadExt(0.5, 1, 5)
 
 
 def test_immutable():
@@ -449,6 +453,23 @@ def test_parse_goldens():
     )
 
 
+def test_quadext_arithmetic_refuses_a_float():
+    x = QuadExt(1, 1, 5)
+    for expr, op, left, right in (
+        (lambda: x + 1.5, "+", "QuadExt", "float"),
+        (lambda: 1.5 + x, "+", "float", "QuadExt"),
+        (lambda: x - 1.5, "-", "QuadExt", "float"),
+        (lambda: 1.5 - x, "-", "float", "QuadExt"),
+        (lambda: x * 1.5, "*", "QuadExt", "float"),
+        (lambda: x / 1.5, "/", "QuadExt", "float"),
+        (lambda: 1.5 / x, "/", "float", "QuadExt"),
+        (lambda: x ** 1.5, "** or pow()", "QuadExt", "float"),
+    ):
+        message = f"unsupported operand type(s) for {op}: '{left}' and '{right}'"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            expr()
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_scalar("")
@@ -463,6 +484,15 @@ def test_parse_rejects_garbage():
             parse_scalar(zero_den)
     with pytest.raises(MixedDiscriminant, match=re.escape("mixed surds in 'sqrt(5) + sqrt(2)'")):
         parse_scalar("sqrt(5) + sqrt(2)")
+    for text, message in (
+        ("1)", "unbalanced parentheses in '1)'"),
+        ("sqrt(5", "unbalanced parentheses in 'sqrt(5'"),
+        ("sqrt(5)x", "malformed surd term 'sqrt(5)x'"),
+        # the first parenthesis closes early, so the outer pair is kept
+        ("(1) + (2)", "Invalid literal for Fraction: '(1)'"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_scalar(text)
 
 
 def test_parse_takes_any_spelling_of_a_field():
