@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import MixedDiscriminant, RationalRoots, RepeatedRoot
 from .hybrid_quaternion import HybridQuaternion
@@ -54,13 +54,14 @@ from .sequences import (
     PELL,
     PELL_LUCAS,
     HoradamParams,
-    Window,
     _conjugate,
+    _lift,
     _outer,
     _params,
     binet_data,
     generalized_fibonacci,
     generalized_lucas,
+    window,
 )
 
 DEFAULT_SPAN = (-10, 30)
@@ -153,10 +154,10 @@ def _scan(identity_id, sequence, span, values_fn, order) -> IdentityReport:
 class _Scans:
     """State of one audit call over one span.
 
-    Recurrence windows (one per sequence, covering every lift the
-    identities read at the indices a scan evaluates: w_{lo-2} up to
-    hat(w)_{last+6}, where last is the span's R-th index, R the largest
-    declared order) are built on first use and shared by this call only.
+    Recurrence terms (one ``window`` per sequence: w_{lo-2} up to w_{last+9},
+    as far as hat(w)_{last+3}, breve(w)_{last+6} and tilde(w)_{last+6} read,
+    where last is the span's R-th index, R the largest declared order) are
+    built on first use and shared by this call only; ``lift`` reads them.
     Closed-form constants depend on parameters, never on the span: they are
     kept per parameter set for the process (``_binet_constants``, ``_cassini_side``).
     """
@@ -164,12 +165,12 @@ class _Scans:
     def __init__(self, span):
         self.span = lo, hi = _validate_span(span)
         self.last = min(hi, lo + max(ident.order for ident in CATALOG.values()) - 1)
-        self._windows = {}
+        self._terms = {}
 
-    def lifts(self, seq) -> Window:
-        if seq not in self._windows:
-            self._windows[seq] = Window(seq, self.span[0] - 2, self.last + 12)
-        return self._windows[seq]
+    def lift(self, seq, lift: str):
+        if seq not in self._terms:
+            self._terms[seq] = window(seq, self.span[0] - 2, self.last + 9)
+        return partial(_lift, self._terms[seq], self.span[0] - 2, lift)
 
     def report(self, identity_id, sequence, prepare, order) -> IdentityReport:
         """prepare(self) builds the right-hand side's constants and returns
@@ -183,8 +184,8 @@ class _Scans:
         return _scan(identity_id, sequence, self.span, values_fn, order)
 
 
-def _breve(w: Window, n: int) -> HybridQuaternion:
-    return HybridQuaternion.from_hybrid(w.hybrid(n))
+def _breve(breve, n: int) -> HybridQuaternion:
+    return HybridQuaternion.from_hybrid(breve(n))
 
 
 # -- Binet forms ------------------------------------------------------------
@@ -209,7 +210,7 @@ def _binet(seq, weight=None):
             A = weight(data.alpha, data.beta)
             data = data._replace(A=A, B=A.conjugate())
         rows = data.table("hybrid-quaternion", lo, s.last)
-        hat = s.lifts(seq).hybrid_quaternion
+        hat = s.lift(seq, "hybrid-quaternion")
         return lambda n: [hat(n), rows[n - lo]]
 
     return prepare
@@ -231,35 +232,35 @@ def _combination(hat, n: int, units) -> HybridQuaternion:
 
 
 def _sum_recurrence(s):
-    hat = s.lifts(FIBONACCI).hybrid_quaternion
+    hat = s.lift(FIBONACCI, "hybrid-quaternion")
     return lambda n: [hat(n) + hat(n + 1), hat(n + 2)]
 
 
 def _quaternion_combination(s):
-    fib, luc = s.lifts(FIBONACCI), s.lifts(LUCAS)
+    hat, fib = s.lift(FIBONACCI, "hybrid-quaternion"), s.lift(FIBONACCI, "hybrid")
+    luc = s.lift(LUCAS, "hybrid")
     return lambda n: [
-        _combination(fib.hybrid_quaternion, n, _QUAT_UNITS),
+        _combination(hat, n, _QUAT_UNITS),
         _breve(fib, n) + _breve(fib, n + 2) + _breve(fib, n + 4) + _breve(fib, n + 6),
         _breve(luc, n + 1) + _breve(luc, n + 5),
     ]
 
 
 def _hybrid_combination(s):
-    fib = s.lifts(FIBONACCI)
-    tilde = fib.quaternion
+    hat, tilde = s.lift(FIBONACCI, "hybrid-quaternion"), s.lift(FIBONACCI, "quaternion")
     return lambda n: [
-        _combination(fib.hybrid_quaternion, n, _HYBRID_UNITS),
+        _combination(hat, n, _HYBRID_UNITS),
         HybridQuaternion.from_quaternion(tilde(n) - tilde(n + 2) - 2 * tilde(n + 3) + tilde(n + 6)),
     ]
 
 
 def _lucas_sum(s):
-    hat, lucas_hat = s.lifts(FIBONACCI).hybrid_quaternion, s.lifts(LUCAS).hybrid_quaternion
+    hat, lucas_hat = s.lift(FIBONACCI, "hybrid-quaternion"), s.lift(LUCAS, "hybrid-quaternion")
     return lambda n: [hat(n - 1) + hat(n + 1), lucas_hat(n)]
 
 
 def _lucas_difference(s):
-    hat, lucas_hat = s.lifts(FIBONACCI).hybrid_quaternion, s.lifts(LUCAS).hybrid_quaternion
+    hat, lucas_hat = s.lift(FIBONACCI, "hybrid-quaternion"), s.lift(LUCAS, "hybrid-quaternion")
     return lambda n: [hat(n + 2) - hat(n - 2), lucas_hat(n)]
 
 
@@ -267,39 +268,36 @@ def _lucas_difference(s):
 
 
 def _quaternion_conjugate(s):
-    fib = s.lifts(FIBONACCI)
-    hat = fib.hybrid_quaternion
+    hat, fib = s.lift(FIBONACCI, "hybrid-quaternion"), s.lift(FIBONACCI, "hybrid")
     return lambda n: [hat(n) + hat(n).conj_quaternion(), _breve(fib, n) * 2]
 
 
 def _hybrid_conjugate(s):
-    fib = s.lifts(FIBONACCI)
-    hat = fib.hybrid_quaternion
+    hat, tilde = s.lift(FIBONACCI, "hybrid-quaternion"), s.lift(FIBONACCI, "quaternion")
     return lambda n: [
         hat(n) + hat(n).conj_hybrid(),
-        HybridQuaternion.from_quaternion(fib.quaternion(n)) * 2,
+        HybridQuaternion.from_quaternion(tilde(n)) * 2,
     ]
 
 
-def _scalar_tail(fib: Window, n: int) -> HybridQuaternion:
-    return HybridQuaternion.from_scalar(-2 * fib.term(n) - 8 * fib.term(n + 1))
+def _scalar_tail(term, n: int) -> HybridQuaternion:
+    return HybridQuaternion.from_scalar(-2 * term(n) - 8 * term(n + 1))
 
 
 def _total_conjugate_hat(s):
-    fib = s.lifts(FIBONACCI)
-    hat = fib.hybrid_quaternion
+    hat, term = s.lift(FIBONACCI, "hybrid-quaternion"), s.lift(FIBONACCI, "scalar")
     return lambda n: [
         hat(n) + hat(n).conj_total(),
-        _scalar_tail(fib, n) + 2 * (hat(n + 1) + hat(n + 2) + hat(n + 3)),
+        _scalar_tail(term, n) + 2 * (hat(n + 1) + hat(n + 2) + hat(n + 3)),
     ]
 
 
 def _total_conjugate_breve(s):
-    fib = s.lifts(FIBONACCI)
-    hat = fib.hybrid_quaternion
+    hat, term = s.lift(FIBONACCI, "hybrid-quaternion"), s.lift(FIBONACCI, "scalar")
+    fib = s.lift(FIBONACCI, "hybrid")
     return lambda n: [
         hat(n) + hat(n).conj_total(),
-        _scalar_tail(fib, n) + 2 * (_breve(fib, n + 1) + _breve(fib, n + 2) + _breve(fib, n + 3)),
+        _scalar_tail(term, n) + 2 * (_breve(fib, n + 1) + _breve(fib, n + 2) + _breve(fib, n + 3)),
     ]
 
 
@@ -323,7 +321,7 @@ def _cassini_side(seq, p, q):
 def _cassini(seq, p, q):
     def prepare(s):
         scaled = _cassini_side(seq, p, q)
-        hat = s.lifts(seq).hybrid_quaternion
+        hat = s.lift(seq, "hybrid-quaternion")
         return lambda n: [hat(n + 1) * hat(n - 1) - hat(n) * hat(n), _signed(n, scaled)]
 
     return prepare

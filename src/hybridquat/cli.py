@@ -23,7 +23,7 @@ from .audit import CATALOG, DEFAULT_SPAN, REFUTED, audit_all, reports_to_json
 from .errors import HybridQuatError, RationalRoots
 from .hybrid_quaternion import COLUMN_NAMES, HybridQuaternion
 from .scalars import parse_fraction, parse_scalar, unlimited_digits
-from .sequences import LIFT_TERMS, REGISTRY, HoradamParams, _layout, binet_data, window
+from .sequences import LIFTS, REGISTRY, HoradamParams, _layout, binet_data, window
 
 METHODS = ("recurrence", "binet")
 FORMATS = ("csv", "json")
@@ -80,7 +80,7 @@ def _emit_table(terms: list, lo: int, hi: int, lift: str, fmt: str, out) -> None
 
 def run_seq(args: argparse.Namespace, out) -> int:
     # the terms w_lo .. w_{hi+width-1} that the lift lays out
-    lo, hi = args.lo, args.hi + LIFT_TERMS[args.lift] - 1
+    lo, hi = args.lo, args.hi + LIFTS[args.lift][0] - 1
     if args.method == "binet":
         try:
             data = binet_data(args.params)
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     seq.add_argument("--from", dest="lo", type=int, required=True, metavar="N")
     seq.add_argument("--to", dest="hi", type=int, required=True, metavar="N")
-    seq.add_argument("--lift", choices=LIFT_TERMS, default="scalar")
+    seq.add_argument("--lift", choices=LIFTS, default="scalar")
     seq.add_argument("--method", choices=METHODS, default="recurrence")
     seq.add_argument("--format", dest="fmt", choices=FORMATS, default="csv")
 

@@ -7,8 +7,8 @@ inverse for lo < 0, which needs q != 0) and walks forward from there.
 Both run on ints over one denominator: the matrix, the start values and
 p, q are each written as ints over the lcm of their denominators, and one
 Fraction is built per returned term.
-Lifts place windows of consecutive terms on the hybrid, quaternion and
-hybrid-quaternion bases:
+Lifts place consecutive terms on the hybrid, quaternion and hybrid-quaternion
+bases; ``LIFTS`` gives each one's width and class, and ``_lift`` builds it:
 
     breve(w)_n = w_n + w_{n+1}*hi + w_{n+2}*eps + w_{n+3}*hh
     tilde(w)_n = w_n + w_{n+1}*i  + w_{n+2}*j   + w_{n+3}*k
@@ -31,8 +31,8 @@ alpha_under = 1 + alpha*i + alpha^2*j + alpha^3*k.  The parameters are
 rational, so beta = conj(alpha) and B = conj(A) in Q(sqrt(D)), and each
 beta term is the alpha term with every coefficient conjugated.  And
 coefficient (s, t) of alpha_star*alpha_under is alpha^(s+t), so a lift's
-value is the scalar Binet terms 2*rat(A*alpha^k) laid out exactly as the
-recurrence lift lays out w_k: no surd half and no root product is formed.
+value is ``_lift`` of the scalar Binet terms 2*rat(A*alpha^k), exactly as the
+recurrence lift is of w_k: no surd half and no root product is formed.
 Everything is exact, and every value agrees with the recurrence.
 """
 
@@ -153,15 +153,20 @@ def horadam(seq, n: int) -> Fraction:
     return window(seq, n, n)[0]
 
 
-# lift -> number of consecutive terms, from w_n on, that it places on its basis
-LIFT_TERMS = {"scalar": 1, "hybrid": 4, "quaternion": 4, "hybrid-quaternion": 7}
+# lift -> (terms from w_n on that it places on its basis, class; None: the term)
+LIFTS = {
+    "scalar": (1, None),
+    "hybrid": (4, Hybrid),
+    "quaternion": (4, Quaternion),
+    "hybrid-quaternion": (7, HybridQuaternion),
+}
 
 
 def _layout(terms, lo: int, lift: str, n: int) -> list:
     """The lift's coefficients at n in basis order (flat canonical order
     for the hybrid quaternion), read off terms indexed from lo."""
     i = n - lo
-    width = LIFT_TERMS[lift]
+    width = LIFTS[lift][0]
     if i < 0 or i + width > len(terms):
         raise IndexError(f"{lift} lift at {n} reads past the window")
     w = terms[i : i + width]
@@ -170,44 +175,27 @@ def _layout(terms, lo: int, lift: str, n: int) -> list:
     return w
 
 
-class Window:
-    """Terms w_lo .. w_hi of one sequence from a single ``window`` call.
+def _lift(terms, lo: int, lift: str, n: int):
+    """The lift's value at n, laid out by ``_layout`` from terms indexed from lo."""
+    coeffs = _layout(terms, lo, lift, n)
+    cls = LIFTS[lift][1]
+    return cls._from_values(coeffs) if cls else coeffs[0]
 
-    A lift at any n whose terms fall inside the window is read off as a
-    slice, laid out on the basis as in the module docstring.
-    """
 
-    def __init__(self, seq, lo: int, hi: int):
-        self.lo = lo
-        self.terms = window(seq, lo, hi)
-
-    def coeffs(self, lift: str, n: int) -> list:
-        """Coefficients of the lift at n in basis order, as ``_layout``."""
-        return _layout(self.terms, self.lo, lift, n)
-
-    def term(self, n: int) -> Fraction:
-        return self.coeffs("scalar", n)[0]
-
-    def hybrid(self, n: int) -> Hybrid:
-        return Hybrid(*self.coeffs("hybrid", n))
-
-    def quaternion(self, n: int) -> Quaternion:
-        return Quaternion(*self.coeffs("quaternion", n))
-
-    def hybrid_quaternion(self, n: int) -> HybridQuaternion:
-        return HybridQuaternion(tuple(self.coeffs("hybrid-quaternion", n)))
+def _point(seq, lift: str, n: int):
+    return _lift(window(seq, n, n + LIFTS[lift][0] - 1), n, lift, n)
 
 
 def lift_hybrid(seq, n: int) -> Hybrid:
-    return Window(seq, n, n + 3).hybrid(n)
+    return _point(seq, "hybrid", n)
 
 
 def lift_quaternion(seq, n: int) -> Quaternion:
-    return Window(seq, n, n + 3).quaternion(n)
+    return _point(seq, "quaternion", n)
 
 
 def lift_hybrid_quaternion(seq, n: int) -> HybridQuaternion:
-    return Window(seq, n, n + 6).hybrid_quaternion(n)
+    return _point(seq, "hybrid-quaternion", n)
 
 
 def _conjugate(value):
@@ -244,16 +232,13 @@ class BinetData(
         return values
 
     def table(self, lift: str, lo: int, hi: int) -> list:
-        """The lift's values at n = lo .. hi: the terms laid out as
-        ``Window`` lays them out, each a QuadExt with zero surd part."""
+        """The lift's values at n = lo .. hi, built by ``_lift`` from terms
+        that are each a QuadExt with zero surd part."""
         if lo > hi:
             raise ValueError("empty index window")
         d, zero = self.alpha.discriminant, Fraction(0)
-        terms = [QuadExt._new(w, zero, d) for w in self.terms(lo, hi + LIFT_TERMS[lift] - 1)]
-        if lift == "scalar":
-            return terms
-        cls = {"hybrid": Hybrid, "quaternion": Quaternion, "hybrid-quaternion": HybridQuaternion}[lift]
-        return [cls._from_values(_layout(terms, lo, lift, n)) for n in range(lo, hi + 1)]
+        terms = [QuadExt._new(w, zero, d) for w in self.terms(lo, hi + LIFTS[lift][0] - 1)]
+        return [_lift(terms, lo, lift, n) for n in range(lo, hi + 1)]
 
 
 def binet_data(seq) -> BinetData:

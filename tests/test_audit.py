@@ -368,10 +368,20 @@ def _clear_constant_caches():
 
 def test_one_window_per_sequence_per_call_and_one_binet_build_per_parameter_set(monkeypatch):
     windows, builds = [], []
-    _count_calls(monkeypatch, hybridquat.sequences, "window", windows)
     for module in (hybridquat.sequences, hybridquat.audit):
+        _count_calls(monkeypatch, module, "window", windows)
         _count_calls(monkeypatch, module, "binet_data", builds)
+    spans, counted = [], hybridquat.audit.window
 
+    def recorded(seq, lo, hi):
+        spans.append((lo, hi))
+        return counted(seq, lo, hi)
+
+    monkeypatch.setattr(hybridquat.audit, "window", recorded)
+
+    # each window runs from w_{lo-2}, which hat(w)_{n-2} reads, to w_{last+9},
+    # which hat(w)_{last+3} and the hybrid and quaternion lifts at last+6 read
+    last = SPAN[0] + max(ident.order for ident in CATALOG.values()) - 1
     families = [
         (check_fibonacci_relations, [FIBONACCI, LUCAS]),
         (check_lucas_relations, [FIBONACCI, LUCAS]),
@@ -380,8 +390,10 @@ def test_one_window_per_sequence_per_call_and_one_binet_build_per_parameter_set(
     ]
     for check, sequences in families:
         windows.clear()
+        spans.clear()
         check(SPAN)
         assert sorted(windows, key=str) == sorted(sequences, key=str), check.__name__
+        assert spans == [(SPAN[0] - 2, last + 9)] * len(sequences), check.__name__
 
     # the closed-form constants depend on the parameters only, so they are
     # built on the first call of the process and read by every later one
@@ -605,7 +617,8 @@ def test_audit_cost_does_not_grow_with_the_span(monkeypatch, full_audit):
             raise AssertionError(f"window of {hi - lo + 1} terms for {seq}")
         return real(seq, lo, hi)
 
-    monkeypatch.setattr(hybridquat.sequences, "window", bounded)
+    for module in (hybridquat.sequences, hybridquat.audit):
+        monkeypatch.setattr(module, "window", bounded)
     span = (-(10**4), 10**4)
     reports = audit_all(span)
     assert [r.status_label() for r in reports] == [r.status_label() for r in full_audit]

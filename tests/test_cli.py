@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 import hybridquat.cli
-from hybridquat.cli import main
+from hybridquat.cli import _HEADERS, main
+from hybridquat.sequences import LIFTS, _layout
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -247,8 +248,15 @@ c_k_eps, c_k_hh (quaternion unit slowest, hybrid unit fastest)
 """
 
 
+def test_each_lift_has_one_header_per_cell():
+    # the headers are display names; the lifts themselves live in sequences.LIFTS
+    assert list(_HEADERS) == list(LIFTS)
+    for lift, header in _HEADERS.items():
+        assert len(header) == len(_layout(range(7), 0, lift, 0)), lift
+
+
 def test_seq_help_lists_the_lifts_in_their_order(cli, monkeypatch):
-    # the --lift choices are the keys of sequences.LIFT_TERMS
+    # the --lift choices are the keys of sequences.LIFTS
     monkeypatch.setenv("COLUMNS", "80")
     assert cli(["seq", "--help"]) == (0, SEQ_HELP, "")
     code, out, err = cli(["seq", "--from", "0", "--to", "1", "--lift", "octonion"])

@@ -29,8 +29,9 @@ from hybridquat.sequences import (
     PELL_LUCAS,
     REGISTRY,
     HoradamParams,
+    LIFTS,
     SequenceId,
-    Window,
+    _lift,
     _outer,
     binet_data,
     binet_hybrid,
@@ -252,18 +253,225 @@ def test_lift_recurrence_linearity(n):
 
 
 def test_window_lifts_are_slices_and_stay_inside():
-    w = Window(LUCAS, -3, 9)
+    terms = window(LUCAS, -3, 9)
     for n in range(-3, 3):
-        assert w.term(n) == horadam(LUCAS, n)
-        assert w.hybrid(n) == Hybrid(*(horadam(LUCAS, n + k) for k in range(4)))
-        assert w.quaternion(n) == Quaternion(*(horadam(LUCAS, n + k) for k in range(4)))
-        assert w.hybrid_quaternion(n).as_quaternion_basis() == tuple(
-            w.hybrid(n + s) for s in range(4)
+        assert _lift(terms, -3, "scalar", n) == horadam(LUCAS, n)
+        assert _lift(terms, -3, "hybrid", n) == Hybrid(*(horadam(LUCAS, n + k) for k in range(4)))
+        assert _lift(terms, -3, "quaternion", n) == Quaternion(
+            *(horadam(LUCAS, n + k) for k in range(4))
+        )
+        assert _lift(terms, -3, "hybrid-quaternion", n).as_quaternion_basis() == tuple(
+            _lift(terms, -3, "hybrid", n + s) for s in range(4)
         )
     # a lift that would read w_10 or w_-4 is refused, not truncated
     for lift, n in (("hybrid-quaternion", 4), ("hybrid", 7), ("scalar", 10), ("scalar", -4)):
-        with pytest.raises(IndexError):
-            w.coeffs(lift, n)
+        with pytest.raises(IndexError, match=f"{lift} lift at {n} reads past the window"):
+            _lift(terms, -3, lift, n)
+
+
+def test_a_far_point_lift_is_a_slice_of_a_wider_window():
+    terms = window(PELL, -2010, -1980)
+    w = terms[10:17]  # w_-2000 .. w_-1994
+    assert horadam(PELL, -2000) == w[0]
+    assert lift_hybrid(PELL, -2000) == Hybrid(*w[:4])
+    assert lift_quaternion(PELL, -2000) == Quaternion(*w[:4])
+    assert lift_hybrid_quaternion(PELL, -2000) == HybridQuaternion(
+        [w[s + t] for s in range(4) for t in range(4)]
+    )
+    for lift in LIFTS:
+        assert _lift(terms, -2010, lift, -2000) == _lift(w, -2000, lift, -2000)
+
+
+# (lift, n) -> the (type name, repr) of the Lucas lift at n by recurrence
+# (horadam, lift_*) and by Binet form (binet_*, BinetData.table)
+LUCAS_LIFT_REPRS = {
+    ("scalar", -3): (
+        ("Fraction", "Fraction(-4, 1)"),
+        ("QuadExt", "QuadExt(Fraction(-4, 1), Fraction(0, 1), 5)"),
+    ),
+    ("scalar", 0): (
+        ("Fraction", "Fraction(2, 1)"),
+        ("QuadExt", "QuadExt(Fraction(2, 1), Fraction(0, 1), 5)"),
+    ),
+    ("scalar", 5): (
+        ("Fraction", "Fraction(11, 1)"),
+        ("QuadExt", "QuadExt(Fraction(11, 1), Fraction(0, 1), 5)"),
+    ),
+    ("hybrid", -3): (
+        (
+            "Hybrid",
+            "Hybrid(a=Fraction(-4, 1), b=Fraction(3, 1), c=Fraction(-1, 1), d=Fraction(2, 1))"
+        ),
+        (
+            "Hybrid",
+            "Hybrid(a=QuadExt(Fraction(-4, 1), Fraction(0, 1), 5), b=QuadExt(Fraction(3, 1), "
+            "Fraction(0, 1), 5), c=QuadExt(Fraction(-1, 1), Fraction(0, 1), 5), "
+            "d=QuadExt(Fraction(2, 1), Fraction(0, 1), 5))"
+        ),
+    ),
+    ("hybrid", 0): (
+        (
+            "Hybrid",
+            "Hybrid(a=Fraction(2, 1), b=Fraction(1, 1), c=Fraction(3, 1), d=Fraction(4, 1))"
+        ),
+        (
+            "Hybrid",
+            "Hybrid(a=QuadExt(Fraction(2, 1), Fraction(0, 1), 5), b=QuadExt(Fraction(1, 1), "
+            "Fraction(0, 1), 5), c=QuadExt(Fraction(3, 1), Fraction(0, 1), 5), "
+            "d=QuadExt(Fraction(4, 1), Fraction(0, 1), 5))"
+        ),
+    ),
+    ("hybrid", 5): (
+        (
+            "Hybrid",
+            "Hybrid(a=Fraction(11, 1), b=Fraction(18, 1), c=Fraction(29, 1), d=Fraction(47, 1))"
+        ),
+        (
+            "Hybrid",
+            "Hybrid(a=QuadExt(Fraction(11, 1), Fraction(0, 1), 5), b=QuadExt(Fraction(18, 1), "
+            "Fraction(0, 1), 5), c=QuadExt(Fraction(29, 1), Fraction(0, 1), 5), "
+            "d=QuadExt(Fraction(47, 1), Fraction(0, 1), 5))"
+        ),
+    ),
+    ("quaternion", -3): (
+        (
+            "Quaternion",
+            "Quaternion(z0=Fraction(-4, 1), z1=Fraction(3, 1), z2=Fraction(-1, 1), "
+            "z3=Fraction(2, 1))"
+        ),
+        (
+            "Quaternion",
+            "Quaternion(z0=QuadExt(Fraction(-4, 1), Fraction(0, 1), 5), "
+            "z1=QuadExt(Fraction(3, 1), Fraction(0, 1), 5), z2=QuadExt(Fraction(-1, 1), "
+            "Fraction(0, 1), 5), z3=QuadExt(Fraction(2, 1), Fraction(0, 1), 5))"
+        ),
+    ),
+    ("quaternion", 0): (
+        (
+            "Quaternion",
+            "Quaternion(z0=Fraction(2, 1), z1=Fraction(1, 1), z2=Fraction(3, 1), "
+            "z3=Fraction(4, 1))"
+        ),
+        (
+            "Quaternion",
+            "Quaternion(z0=QuadExt(Fraction(2, 1), Fraction(0, 1), 5), "
+            "z1=QuadExt(Fraction(1, 1), Fraction(0, 1), 5), z2=QuadExt(Fraction(3, 1), "
+            "Fraction(0, 1), 5), z3=QuadExt(Fraction(4, 1), Fraction(0, 1), 5))"
+        ),
+    ),
+    ("quaternion", 5): (
+        (
+            "Quaternion",
+            "Quaternion(z0=Fraction(11, 1), z1=Fraction(18, 1), z2=Fraction(29, 1), "
+            "z3=Fraction(47, 1))"
+        ),
+        (
+            "Quaternion",
+            "Quaternion(z0=QuadExt(Fraction(11, 1), Fraction(0, 1), 5), "
+            "z1=QuadExt(Fraction(18, 1), Fraction(0, 1), 5), z2=QuadExt(Fraction(29, 1), "
+            "Fraction(0, 1), 5), z3=QuadExt(Fraction(47, 1), Fraction(0, 1), 5))"
+        ),
+    ),
+    ("hybrid-quaternion", -3): (
+        (
+            "HybridQuaternion",
+            "HybridQuaternion(coeffs=(Fraction(-4, 1), Fraction(3, 1), Fraction(-1, 1), "
+            "Fraction(2, 1), Fraction(3, 1), Fraction(-1, 1), Fraction(2, 1), Fraction(1, 1), "
+            "Fraction(-1, 1), Fraction(2, 1), Fraction(1, 1), Fraction(3, 1), Fraction(2, 1), "
+            "Fraction(1, 1), Fraction(3, 1), Fraction(4, 1)))"
+        ),
+        (
+            "HybridQuaternion",
+            "HybridQuaternion(coeffs=(QuadExt(Fraction(-4, 1), Fraction(0, 1), 5), "
+            "QuadExt(Fraction(3, 1), Fraction(0, 1), 5), QuadExt(Fraction(-1, 1), "
+            "Fraction(0, 1), 5), QuadExt(Fraction(2, 1), Fraction(0, 1), 5), "
+            "QuadExt(Fraction(3, 1), Fraction(0, 1), 5), QuadExt(Fraction(-1, 1), "
+            "Fraction(0, 1), 5), QuadExt(Fraction(2, 1), Fraction(0, 1), 5), "
+            "QuadExt(Fraction(1, 1), Fraction(0, 1), 5), QuadExt(Fraction(-1, 1), "
+            "Fraction(0, 1), 5), QuadExt(Fraction(2, 1), Fraction(0, 1), 5), "
+            "QuadExt(Fraction(1, 1), Fraction(0, 1), 5), QuadExt(Fraction(3, 1), Fraction(0, 1), "
+            "5), QuadExt(Fraction(2, 1), Fraction(0, 1), 5), QuadExt(Fraction(1, 1), "
+            "Fraction(0, 1), 5), QuadExt(Fraction(3, 1), Fraction(0, 1), 5), "
+            "QuadExt(Fraction(4, 1), Fraction(0, 1), 5)))"
+        ),
+    ),
+    ("hybrid-quaternion", 0): (
+        (
+            "HybridQuaternion",
+            "HybridQuaternion(coeffs=(Fraction(2, 1), Fraction(1, 1), Fraction(3, 1), "
+            "Fraction(4, 1), Fraction(1, 1), Fraction(3, 1), Fraction(4, 1), Fraction(7, 1), "
+            "Fraction(3, 1), Fraction(4, 1), Fraction(7, 1), Fraction(11, 1), Fraction(4, 1), "
+            "Fraction(7, 1), Fraction(11, 1), Fraction(18, 1)))"
+        ),
+        (
+            "HybridQuaternion",
+            "HybridQuaternion(coeffs=(QuadExt(Fraction(2, 1), Fraction(0, 1), 5), "
+            "QuadExt(Fraction(1, 1), Fraction(0, 1), 5), QuadExt(Fraction(3, 1), Fraction(0, 1), "
+            "5), QuadExt(Fraction(4, 1), Fraction(0, 1), 5), QuadExt(Fraction(1, 1), "
+            "Fraction(0, 1), 5), QuadExt(Fraction(3, 1), Fraction(0, 1), 5), "
+            "QuadExt(Fraction(4, 1), Fraction(0, 1), 5), QuadExt(Fraction(7, 1), Fraction(0, 1), "
+            "5), QuadExt(Fraction(3, 1), Fraction(0, 1), 5), QuadExt(Fraction(4, 1), "
+            "Fraction(0, 1), 5), QuadExt(Fraction(7, 1), Fraction(0, 1), 5), "
+            "QuadExt(Fraction(11, 1), Fraction(0, 1), 5), QuadExt(Fraction(4, 1), "
+            "Fraction(0, 1), 5), QuadExt(Fraction(7, 1), Fraction(0, 1), 5), "
+            "QuadExt(Fraction(11, 1), Fraction(0, 1), 5), QuadExt(Fraction(18, 1), "
+            "Fraction(0, 1), 5)))"
+        ),
+    ),
+    ("hybrid-quaternion", 5): (
+        (
+            "HybridQuaternion",
+            "HybridQuaternion(coeffs=(Fraction(11, 1), Fraction(18, 1), Fraction(29, 1), "
+            "Fraction(47, 1), Fraction(18, 1), Fraction(29, 1), Fraction(47, 1), "
+            "Fraction(76, 1), Fraction(29, 1), Fraction(47, 1), Fraction(76, 1), "
+            "Fraction(123, 1), Fraction(47, 1), Fraction(76, 1), Fraction(123, 1), "
+            "Fraction(199, 1)))"
+        ),
+        (
+            "HybridQuaternion",
+            "HybridQuaternion(coeffs=(QuadExt(Fraction(11, 1), Fraction(0, 1), 5), "
+            "QuadExt(Fraction(18, 1), Fraction(0, 1), 5), QuadExt(Fraction(29, 1), "
+            "Fraction(0, 1), 5), QuadExt(Fraction(47, 1), Fraction(0, 1), 5), "
+            "QuadExt(Fraction(18, 1), Fraction(0, 1), 5), QuadExt(Fraction(29, 1), "
+            "Fraction(0, 1), 5), QuadExt(Fraction(47, 1), Fraction(0, 1), 5), "
+            "QuadExt(Fraction(76, 1), Fraction(0, 1), 5), QuadExt(Fraction(29, 1), "
+            "Fraction(0, 1), 5), QuadExt(Fraction(47, 1), Fraction(0, 1), 5), "
+            "QuadExt(Fraction(76, 1), Fraction(0, 1), 5), QuadExt(Fraction(123, 1), "
+            "Fraction(0, 1), 5), QuadExt(Fraction(47, 1), Fraction(0, 1), 5), "
+            "QuadExt(Fraction(76, 1), Fraction(0, 1), 5), QuadExt(Fraction(123, 1), "
+            "Fraction(0, 1), 5), QuadExt(Fraction(199, 1), Fraction(0, 1), 5)))"
+        ),
+    ),
+}
+
+
+# lift -> its recurrence point and its Binet point
+ROUTES = {
+    "scalar": (horadam, binet_scalar),
+    "hybrid": (lift_hybrid, binet_hybrid),
+    "quaternion": (lift_quaternion, binet_quaternion),
+    "hybrid-quaternion": (lift_hybrid_quaternion, binet_hybrid_quaternion),
+}
+
+
+@pytest.mark.parametrize("lift", LIFTS)
+def test_both_routes_give_each_lifts_recorded_type_and_repr(lift):
+    point, closed = ROUTES[lift]
+    table = binet_data(LUCAS).table(lift, -3, 5)
+    for n in (-3, 0, 5):
+        by_recurrence, by_binet = LUCAS_LIFT_REPRS[lift, n]
+        value = point(LUCAS, n)
+        assert (type(value).__name__, repr(value)) == by_recurrence
+        # a Binet value keeps its zero-surd QuadExt coefficients
+        for value in (closed(LUCAS, n), table[n + 3]):
+            assert (type(value).__name__, repr(value)) == by_binet
+
+
+def test_the_scalar_binet_table_is_a_list_of_quadext():
+    assert repr(binet_data(LUCAS).table("scalar", -3, -1)) == (
+        "[QuadExt(Fraction(-4, 1), Fraction(0, 1), 5), QuadExt(Fraction(3, 1), Fraction(0, 1), 5), "
+        "QuadExt(Fraction(-1, 1), Fraction(0, 1), 5)]"
+    )
 
 
 # -- Binet data -----------------------------------------------------------
