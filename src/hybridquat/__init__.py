@@ -86,72 +86,9 @@ from .sequences import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AUDIT_SEQUENCES",
-    "CANONICAL_PAIRS",
-    "CATALOG",
-    "COLUMN_NAMES",
-    "DEFAULT_SPAN",
-    "DivisionByZero",
-    "EPS",
-    "FERMAT",
-    "FIBONACCI",
-    "FirstFailure",
-    "HH",
-    "HI",
-    "HYBRID_UNITS",
-    "Hybrid",
-    "HybridQuatError",
-    "HybridQuaternion",
-    "HoradamParams",
-    "I",
-    "IdentityReport",
-    "J",
-    "JACOBSTHAL",
-    "JACOBSTHAL_LUCAS",
-    "K",
-    "LUCAS",
-    "MERSENNE",
-    "MixedDiscriminant",
-    "NegativeIndexWithZeroQ",
-    "ONE",
-    "PELL",
-    "PELL_LUCAS",
-    "QONE",
-    "QUAT_UNITS",
-    "QuadExt",
-    "Quaternion",
-    "REGISTRY",
-    "Rational",
-    "RationalRoots",
-    "RepeatedRoot",
-    "BinetData",
-    "SequenceId",
-    "audit_all",
-    "binet_data",
-    "binet_hybrid",
-    "binet_hybrid_quaternion",
-    "binet_quaternion",
-    "binet_scalar",
-    "check_binet",
-    "check_cassini",
-    "check_conjugate_relations",
-    "check_fibonacci_relations",
-    "check_lucas_relations",
-    "generalized_fibonacci",
-    "generalized_lucas",
-    "horadam",
-    "hq_cross",
-    "hq_dot",
-    "hq_mul",
-    "lift_hybrid",
-    "lift_hybrid_quaternion",
-    "lift_quaternion",
-    "make_quad_roots",
-    "mul_via_scalar_vector",
-    "parse_hybrid_quaternion",
-    "parse_scalar",
-    "reports_to_json",
-    "scalar_vector_form",
-    "window",
-]
+# the public names are the ones imported above, less the submodules
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and type(value) is not type(errors)
+)

@@ -117,7 +117,7 @@ def reports_to_json(reports) -> str:
 
 def _validate_span(span) -> tuple:
     lo, hi = span
-    if not isinstance(lo, int) or not isinstance(hi, int):
+    if not all(isinstance(b, int) and not isinstance(b, bool) for b in (lo, hi)):
         raise TypeError("span bounds must be integers")
     if lo > hi:
         raise ValueError(f"empty span [{lo}, {hi}]")

@@ -38,6 +38,13 @@ _HIDX = {name: t for t, name in enumerate(HYBRID_UNITS)}
 _HALF = Fraction(1, 2)
 
 
+def _unit_index(u: str, v: str, where: str = "") -> int:
+    """The coefficient index of the unit pair u*v; where ends the error message."""
+    if u not in _QIDX or v not in _HIDX:
+        raise ValueError(f"unknown unit pair {u!r}, {v!r}{where}")
+    return 4 * _QIDX[u] + _HIDX[v]
+
+
 def _hamilton(p, q) -> tuple:
     """The Hamilton product of two quaternion coefficient 4-tuples."""
     (p0, p1, p2, p3), (q0, q1, q2, q3) = p, q
@@ -124,7 +131,7 @@ class HybridQuaternion(Element):
     @classmethod
     def unit(cls, u: str, v: str) -> "HybridQuaternion":
         coeffs = [0] * 16
-        coeffs[4 * _QIDX[u] + _HIDX[v]] = 1
+        coeffs[_unit_index(u, v)] = 1
         return cls(coeffs)
 
     # -- decompositions ---------------------------------------------------
@@ -221,8 +228,5 @@ def parse_hybrid_quaternion(text: str) -> HybridQuaternion:
         if len(factors) < 3:
             raise ValueError(f"term {body!r} lacks coeff*u*v form")
         coeff, u, v = factors
-        if u not in _QIDX or v not in _HIDX:
-            raise ValueError(f"unknown unit pair {u!r}, {v!r} in {body!r}")
-        flat = 4 * _QIDX[u] + _HIDX[v]
-        coeffs[flat] += sign * parse_scalar(coeff)
+        coeffs[_unit_index(u, v, f" in {body!r}")] += sign * parse_scalar(coeff)
     return HybridQuaternion(coeffs)

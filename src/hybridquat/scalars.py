@@ -380,7 +380,10 @@ def _parse_surd_body(body: str) -> tuple[Fraction, int]:
     head, _, tail = body.partition("sqrt(")
     if not tail.endswith(")"):
         raise ValueError(f"malformed surd term {body!r}")
-    disc = int(tail[:-1])
+    try:
+        disc = int(tail[:-1])
+    except ValueError:
+        raise ValueError(f"malformed surd term {body!r}") from None
     head = head.strip()
     if head.endswith("*"):
         head = head[:-1].strip()

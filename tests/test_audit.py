@@ -446,8 +446,12 @@ def test_a_second_cassini_call_forms_no_constant(monkeypatch):
 
 
 def test_span_bounds_must_be_integers():
+    # bool is an int subclass, but True is no index
+    for span in ((0.5, 3), (False, 3), (0, True)):
+        with pytest.raises(TypeError, match="^span bounds must be integers$"):
+            audit_all(span)
     with pytest.raises(TypeError, match="^span bounds must be integers$"):
-        audit_all((0.5, 3))
+        check_binet(FIBONACCI, (True, 3))
 
 
 def test_a_foreign_cassini_factor_raises_on_every_call_before_any_bracket(monkeypatch):

@@ -517,6 +517,11 @@ def test_parse_goldens():
     )
     with pytest.raises(ValueError):
         parse_hybrid_quaternion("3*q*hi")
+    # one lookup serves the parser and unit(); the parser names the term
+    with pytest.raises(ValueError, match=re.escape("unknown unit pair 'x', '1' in '3*x*1'")):
+        parse_hybrid_quaternion("3*x*1")
+    with pytest.raises(ValueError, match=re.escape("unknown unit pair 'x', '1'") + "$"):
+        HybridQuaternion.unit("x", "1")
     with pytest.raises(ValueError):
         parse_hybrid_quaternion("3*hi")
     with pytest.raises(ValueError):

@@ -488,6 +488,8 @@ def test_parse_rejects_garbage():
         ("1)", "unbalanced parentheses in '1)'"),
         ("sqrt(5", "unbalanced parentheses in 'sqrt(5'"),
         ("sqrt(5)x", "malformed surd term 'sqrt(5)x'"),
+        ("sqrt(5/4)", "malformed surd term 'sqrt(5/4)'"),
+        ("sqrt(x)", "malformed surd term 'sqrt(x)'"),
         # the first parenthesis closes early, so the outer pair is kept
         ("(1) + (2)", "Invalid literal for Fraction: '(1)'"),
     ):
