@@ -158,10 +158,10 @@ class Element:
 
     # -- multiplication ---------------------------------------------------
 
-    def _product(self, x, y, zero) -> tuple:
+    def _product(self, x, y) -> tuple:
         """Coefficients of x*y from those of x and y, in any scalar ring;
-        zero coefficients are skipped."""
-        acc = [zero] * len(x)
+        zero coefficients are skipped, and one no pair reaches stays int 0."""
+        acc = [0] * len(x)
         table = self._TABLE
         for i, a in enumerate(x):
             if not a:
@@ -192,11 +192,9 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, self.__class__):
             if self._den and other._den:
-                product = self._product(self._num, other._num, 0)
+                product = self._product(self._num, other._num)
                 return self._reduced(product, self._den * other._den)
-            return self._from_values(
-                self._product(self.components(), other.components(), Fraction(0))
-            )
+            return self._from_values(self._product(self.components(), other.components()))
         return self._scale(other)
 
     def __rmul__(self, other):

@@ -27,7 +27,8 @@ indices vanishes at every later one (Zeilberger, "The C-finite Ansatz",
 Ramanujan J. 31, 2013; Kauers & Paule, The Concrete Tetrahedron, 2011,
 ch. 4).  The scan therefore evaluates only the first r indices of the
 span: agreement there certifies the whole span, and a disagreement there
-is already the smallest failing index.
+is already the smallest failing index.  One method, ``_Identity.report``,
+evaluates a check: it builds the closed form, scans and makes the witness.
 
 A claim whose right-hand side cannot even be evaluated (rational roots
 where a surd is required, or two incompatible surds in one expression)
@@ -56,7 +57,6 @@ from .sequences import (
     HoradamParams,
     _conjugate,
     _lift,
-    _outer,
     _params,
     binet_data,
     generalized_fibonacci,
@@ -129,28 +129,6 @@ def _signed(n: int, value):
     return value if n % 2 == 0 else -value
 
 
-def _scan(identity_id, sequence, span, values_fn, order) -> IdentityReport:
-    """Evaluate values_fn at the first `order` indices of the span.
-
-    values_fn(n) returns two or more HybridQuaternion values forming a
-    claimed chain of equalities (lhs = rhs1 = rhs2 ...), each side
-    C-finite of order at most `order`, so agreement at those indices
-    holds on the whole span.  The first failing adjacent pair at the
-    smallest failing n is the witness.
-    """
-    lo, hi = span
-    for n in range(lo, min(hi, lo + order - 1) + 1):
-        values = values_fn(n)
-        for left, right in zip(values, values[1:]):
-            if left != right:
-                with unlimited_digits():
-                    failure = FirstFailure(n, str(left), str(right), str(left - right))
-                return IdentityReport(
-                    identity_id, sequence, (lo, hi), REFUTED, first_failure=failure
-                )
-    return IdentityReport(identity_id, sequence, (lo, hi), VERIFIED)
-
-
 class _Scans:
     """State of one audit call over one span.
 
@@ -171,17 +149,6 @@ class _Scans:
         if seq not in self._terms:
             self._terms[seq] = window(seq, self.span[0] - 2, self.last + 9)
         return partial(_lift, self._terms[seq], self.span[0] - 2, lift)
-
-    def report(self, identity_id, sequence, prepare, order) -> IdentityReport:
-        """prepare(self) builds the right-hand side's constants and returns
-        values(n); a closed form that cannot be built is UNEVALUABLE."""
-        try:
-            values_fn = prepare(self)
-        except (RationalRoots, RepeatedRoot, MixedDiscriminant) as exc:
-            return IdentityReport(
-                identity_id, sequence, self.span, UNEVALUABLE, error=type(exc).__name__
-            )
-        return _scan(identity_id, sequence, self.span, values_fn, order)
 
 
 def _breve(breve, n: int) -> HybridQuaternion:
@@ -310,11 +277,13 @@ def _cassini_side(seq, p, q):
     for Lucas, the factor lifted into the roots' field (or raising) first.
     By the module docstring's identities, alpha times the bracket's first
     chain alpha* beta* alpha_under beta_under is the outer product v of
-    alpha*(alpha* beta*) and alpha_under beta_under, and the bracket is v - conj(v)."""
+    z = alpha*(alpha* beta*) and y = alpha_under beta_under, whose hybrid
+    coefficient of u_s is z*y_s, and the bracket is v - conj(v)."""
     data = _binet_constants(HoradamParams(0, 1, p, q))
     alpha = data.alpha
     factor = alpha._lift(QuadExt(0, 1, 5) if seq == LUCAS else (alpha - data.beta).inverse())
-    v = _outer(alpha * (data.alpha_star * data.beta_star), data.alpha_under * data.beta_under)
+    z, y = alpha * (data.alpha_star * data.beta_star), data.alpha_under * data.beta_under
+    v = HybridQuaternion.from_quaternion_basis(*(z * s for s in y.components()))
     return factor * (v - _conjugate(v))
 
 
@@ -343,13 +312,28 @@ class _Identity:
         self.checks = checks
 
     def __call__(self, span) -> list:
-        return self.reports(_Scans(span))
+        scans = _Scans(span)
+        return [self.report(scans, *check) for check in self.checks]
 
-    def reports(self, scans) -> list:
-        return [
-            scans.report(self.identity_id, seq, prepare, self.order)
-            for seq, prepare in self.checks
-        ]
+    def report(self, scans, sequence, prepare) -> IdentityReport:
+        """prepare(scans) builds the right side's constants (UNEVALUABLE if it
+        cannot) and returns values(n), a claimed chain lhs = rhs1 = ... of
+        HybridQuaternions, each side C-finite of order at most self.order.
+        The first failing adjacent pair at the smallest failing n is the witness."""
+        made = partial(IdentityReport, self.identity_id, sequence, scans.span)
+        try:
+            values_fn = prepare(scans)
+        except (RationalRoots, RepeatedRoot, MixedDiscriminant) as exc:
+            return made(UNEVALUABLE, error=type(exc).__name__)
+        lo, hi = scans.span
+        for n in range(lo, min(hi, lo + self.order - 1) + 1):
+            values = values_fn(n)
+            for left, right in zip(values, values[1:]):
+                if left != right:
+                    with unlimited_digits():
+                        failure = FirstFailure(n, str(left), str(right), str(left - right))
+                    return made(REFUTED, first_failure=failure)
+        return made(VERIFIED)
 
 
 # Both sides of a linear id are linear in the w_{n+k} and in alpha^n,
@@ -391,7 +375,7 @@ CATALOG = {
 def _run(identity_ids, span) -> list:
     """The reports of the given ids in order, sharing one call's state."""
     scans = _Scans(span)
-    return [r for i in identity_ids for r in CATALOG[i].reports(scans)]
+    return [CATALOG[i].report(scans, *check) for i in identity_ids for check in CATALOG[i].checks]
 
 
 # -- entry points ---------------------------------------------------------------
@@ -399,7 +383,7 @@ def _run(identity_ids, span) -> list:
 
 def check_binet(seq, span=DEFAULT_SPAN) -> IdentityReport:
     """Recurrence lift against the Q(sqrt(D)) closed form, coefficientwise."""
-    return _Scans(span).report("Thm2.1", seq, _binet(seq), CATALOG["Thm2.1"].order)
+    return _Identity("Thm2.1", CATALOG["Thm2.1"].order, (seq, _binet(seq)))(span)[0]
 
 
 def check_fibonacci_relations(span=DEFAULT_SPAN) -> list:

@@ -81,19 +81,20 @@ class HybridQuaternion(Element):
     def __repr__(self):
         return f"HybridQuaternion(coeffs={self.coeffs!r})"
 
-    def _product(self, x, y, zero) -> tuple:
-        """Coefficients of x*y; ``zero`` is 0 for ints, else Fraction(0).
+    def _product(self, x, y) -> tuple:
+        """Coefficients of x*y over ints or over scalars (never an int): x[0] tells.
 
         The table loop takes ints with at most 32 nonzero pairs, where it is
         faster (a unit has 16), and scalars unless all are nonzero QuadExts of
         one D, so a Fraction stays where no surd pair reaches (not 0*sqrt(D))."""
-        if zero.__class__ is int:
+        ints = x[0].__class__ is int
+        if ints:
             dense = (16 - x.count(0)) * (16 - y.count(0)) > 32
         else:
             d = getattr(x[0], "discriminant", 0)
             dense = d and all(v and getattr(v, "discriminant", 0) == d for v in x + y)
         if not dense:
-            return super()._product(x, y, zero)
+            return super()._product(x, y)
         (x00, x01, x10, x11), (y00, y01, y10, y11) = _matrix(x), _matrix(y)
         z00 = tuple(map(add, _hamilton(x00, y00), _hamilton(x01, y10)))
         z01 = tuple(map(add, _hamilton(x00, y01), _hamilton(x01, y11)))
@@ -103,7 +104,7 @@ class HybridQuaternion(Element):
         for s in range(4):
             c = z00[s] - z11[s]
             out += (z00[s] + z11[s], c + z01[s] - z10[s], c, z01[s] + z10[s])
-        return tuple([v >> 1 for v in out] if zero.__class__ is int else [v * _HALF for v in out])
+        return tuple([v >> 1 for v in out] if ints else [v * _HALF for v in out])
 
     # -- constructors -----------------------------------------------------
 

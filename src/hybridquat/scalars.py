@@ -393,7 +393,10 @@ def _parse_surd_body(body: str) -> tuple[Fraction, int]:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse "n" or "n/d"; a zero denominator is a ValueError like any bad text."""
+    """Parse "n" or "n/d"; a zero denominator is a ValueError like any bad text,
+    and so, on every Python, are digit underscores and inner whitespace."""
+    if "_" in text or len(text.split()) > 1:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -203,13 +203,6 @@ def _conjugate(value):
     return value._from_values([c.conjugate() for c in value.components()])
 
 
-def _outer(z: Hybrid, q: Quaternion) -> HybridQuaternion:
-    """from_hybrid(z) * from_quaternion(q), formed directly: the product of
-    1 x v_t and u_s x 1 is u_s x v_t, so coefficient 4s+t is q_s*z_t."""
-    zs = z.components()
-    return HybridQuaternion._from_values([a * b for a in q.components() for b in zs])
-
-
 class BinetData(
     namedtuple("BinetData", "alpha beta A B alpha_star beta_star alpha_under beta_under")
 ):
@@ -233,11 +226,10 @@ class BinetData(
 
     def table(self, lift: str, lo: int, hi: int) -> list:
         """The lift's values at n = lo .. hi, built by ``_lift`` from terms
-        that are each a QuadExt with zero surd part."""
+        that are each written into the roots' field, with zero surd part."""
         if lo > hi:
             raise ValueError("empty index window")
-        d, zero = self.alpha.discriminant, Fraction(0)
-        terms = [QuadExt._new(w, zero, d) for w in self.terms(lo, hi + LIFTS[lift][0] - 1)]
+        terms = [self.alpha._lift(w) for w in self.terms(lo, hi + LIFTS[lift][0] - 1)]
         return [_lift(terms, lo, lift, n) for n in range(lo, hi + 1)]
 
 

@@ -268,7 +268,7 @@ def test_thm34_with_a_wrong_weight_is_refuted_at_the_span_start():
     # A = 1 in display i gives hat(L)_n on the right, so the weight is read
     # when the check runs, not assumed
     order = CATALOG["Thm3.4.i"].order
-    report = _Scans(SPAN).report("Thm3.4.i", FIBONACCI, _binet(FIBONACCI, lambda a, b: 1), order)
+    (report,) = _Identity("Thm3.4.i", order, (FIBONACCI, _binet(FIBONACCI, lambda a, b: 1)))(SPAN)
     assert report.status == "REFUTED"
     assert report.first_failure.n == SPAN[0]
 
@@ -289,6 +289,12 @@ def test_binet_data_and_a_thm34_scan_form_no_root_product(monkeypatch):
     for key in PRINTED_WEIGHTS:
         assert [r.status for r in CATALOG[key](SPAN)] == ["VERIFIED"]
     assert products == []
+
+
+@pytest.mark.parametrize("span", [(-10, 30), (3, 3), (1000, 1010)])
+def test_check_binet_is_the_catalog_report(span):
+    thm21 = [r for r in audit_all(span) if r.identity_id == "Thm2.1"]
+    assert [check_binet(seq, span) for seq in AUDIT_SEQUENCES] == thm21
 
 
 def test_check_binet_single_sequence():
@@ -456,7 +462,7 @@ def test_span_bounds_must_be_integers():
 
 def test_a_foreign_cassini_factor_raises_on_every_call_before_any_bracket(monkeypatch):
     outers = []
-    _count_calls(monkeypatch, hybridquat.audit, "_outer", outers)
+    _count_calls(monkeypatch, HybridQuaternion, "from_quaternion_basis", outers)
     _clear_constant_caches()
     for _ in range(2):
         with pytest.raises(MixedDiscriminant):

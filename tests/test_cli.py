@@ -218,6 +218,12 @@ def test_negative_range_needs_invertible_q(cli):
     assert "q = 0" in err
 
 
+def test_params_refuse_digit_underscores(cli):
+    # Fraction takes "1_0" from Python 3.11 on; the parser refuses it on every version
+    code, out, err = cli(["seq", "--params", "1_0,1,1,-1", "--from", "0", "--to", "2"])
+    assert (code, out, err) == (2, "", "error: --params: Invalid literal for Fraction: '1_0'\n")
+
+
 def test_params_needs_four_fields(cli):
     code, out, err = cli(["seq", "--params", "0,1,1", "--from", "0", "--to", "1"])
     assert (code, out, err) == (2, "", "error: --params needs w0,w1,p,q (got 3 fields)\n")

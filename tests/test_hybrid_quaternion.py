@@ -221,6 +221,29 @@ def test_surd_products_keep_the_table_loops_scalar_types(x, y):
     assert hash(product) == hash(expected)
 
 
+@pytest.mark.parametrize(
+    "x, y, expected",
+    [
+        (
+            Hybrid(QuadExt(1, 2, 5), 0, 0, 0),
+            Hybrid(0, Fraction(1, 2), 0, 0),
+            "Hybrid(a=Fraction(0, 1), b=QuadExt(Fraction(1, 2), Fraction(1, 1), 5), "
+            "c=Fraction(0, 1), d=Fraction(0, 1))",
+        ),
+        (
+            Quaternion(0, 0, QuadExt(1, 2, 5), 0),
+            Quaternion(0, Fraction(1, 2), 0, 0),
+            "Quaternion(z0=Fraction(0, 1), z1=Fraction(0, 1), z2=Fraction(0, 1), "
+            "z3=QuadExt(Fraction(-1, 2), Fraction(-1, 1), 5))",
+        ),
+    ],
+)
+def test_4dim_mixed_products_print_a_fraction_where_no_pair_reaches(x, y, expected):
+    # the table loop over scalars: a coefficient that no pair reaches is
+    # Fraction(0), never an int 0 and never a QuadExt with zero parts
+    assert repr(x * y) == expected
+
+
 _DENSE_SURD = HybridQuaternion(tuple(QuadExt(k - 7, 3 - k % 5, 5) for k in range(16)))
 _SURD_SCALAR = HybridQuaternion.from_scalar(QuadExt(1, 2, 5))
 

@@ -492,6 +492,12 @@ def test_parse_rejects_garbage():
         ("sqrt(x)", "malformed surd term 'sqrt(x)'"),
         # the first parenthesis closes early, so the outer pair is kept
         ("(1) + (2)", "Invalid literal for Fraction: '(1)'"),
+        # digit underscores and spaces around "/" are refused on every Python,
+        # though Fraction takes the first from 3.11 on and the second from 3.12
+        ("1_0", "Invalid literal for Fraction: '1_0'"),
+        ("1/1_0", "Invalid literal for Fraction: '1/1_0'"),
+        ("1 / 2", "Invalid literal for Fraction: '1 / 2'"),
+        ("3 /4", "Invalid literal for Fraction: '3 /4'"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_scalar(text)
