@@ -124,11 +124,6 @@ def _validate_span(span) -> tuple:
     return lo, hi
 
 
-def _signed(n: int, value):
-    """(-1)^n * value."""
-    return value if n % 2 == 0 else -value
-
-
 class _Scans:
     """State of one audit call over one span.
 
@@ -149,10 +144,6 @@ class _Scans:
         if seq not in self._terms:
             self._terms[seq] = window(seq, self.span[0] - 2, self.last + 9)
         return partial(_lift, self._terms[seq], self.span[0] - 2, lift)
-
-
-def _breve(breve, n: int) -> HybridQuaternion:
-    return HybridQuaternion.from_hybrid(breve(n))
 
 
 # -- Binet forms ------------------------------------------------------------
@@ -208,8 +199,8 @@ def _quaternion_combination(s):
     luc = s.lift(LUCAS, "hybrid")
     return lambda n: [
         _combination(hat, n, _QUAT_UNITS),
-        _breve(fib, n) + _breve(fib, n + 2) + _breve(fib, n + 4) + _breve(fib, n + 6),
-        _breve(luc, n + 1) + _breve(luc, n + 5),
+        HybridQuaternion.from_hybrid(fib(n) + fib(n + 2) + fib(n + 4) + fib(n + 6)),
+        HybridQuaternion.from_hybrid(luc(n + 1) + luc(n + 5)),
     ]
 
 
@@ -236,7 +227,7 @@ def _lucas_difference(s):
 
 def _quaternion_conjugate(s):
     hat, fib = s.lift(FIBONACCI, "hybrid-quaternion"), s.lift(FIBONACCI, "hybrid")
-    return lambda n: [hat(n) + hat(n).conj_quaternion(), _breve(fib, n) * 2]
+    return lambda n: [hat(n) + hat(n).conj_quaternion(), HybridQuaternion.from_hybrid(fib(n)) * 2]
 
 
 def _hybrid_conjugate(s):
@@ -264,7 +255,7 @@ def _total_conjugate_breve(s):
     fib = s.lift(FIBONACCI, "hybrid")
     return lambda n: [
         hat(n) + hat(n).conj_total(),
-        _scalar_tail(term, n) + 2 * (_breve(fib, n + 1) + _breve(fib, n + 2) + _breve(fib, n + 3)),
+        _scalar_tail(term, n) + 2 * HybridQuaternion.from_hybrid(fib(n + 1) + fib(n + 2) + fib(n + 3)),
     ]
 
 
@@ -291,7 +282,7 @@ def _cassini(seq, p, q):
     def prepare(s):
         scaled = _cassini_side(seq, p, q)
         hat = s.lift(seq, "hybrid-quaternion")
-        return lambda n: [hat(n + 1) * hat(n - 1) - hat(n) * hat(n), _signed(n, scaled)]
+        return lambda n: [hat(n + 1) * hat(n - 1) - hat(n) * hat(n), -scaled if n % 2 else scaled]
 
     return prepare
 

@@ -36,31 +36,22 @@ _HEADERS = {
 }
 
 
-class UsageError(Exception):
-    """Bad invocation: reported on stderr, exit status 2."""
-
-
-def _parse_params(text: str) -> HoradamParams:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise UsageError(f"--params needs w0,w1,p,q (got {len(parts)} fields)")
-    try:
-        w0, w1, p, q = (parse_fraction(part.strip()) for part in parts)
-    except ValueError as exc:
-        raise UsageError(f"--params: {exc}") from None
-    return HoradamParams(w0, w1, p, q)
-
-
 def _resolve_sequence(name: str | None, params_text: str | None) -> HoradamParams:
     # explicit parameters always win over a named sequence
     if params_text is not None:
-        return _parse_params(params_text)
+        parts = params_text.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"--params needs w0,w1,p,q (got {len(parts)} fields)")
+        try:
+            return HoradamParams(*(parse_fraction(part.strip()) for part in parts))
+        except ValueError as exc:
+            raise ValueError(f"--params: {exc}") from None
     if name is None:
-        raise UsageError("seq needs --sequence or --params")
+        raise ValueError("seq needs --sequence or --params")
     key = name.strip().lower()
     if key not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
-        raise UsageError(f"unknown sequence {name!r} (known: {known})")
+        raise ValueError(f"unknown sequence {name!r} (known: {known})")
     return REGISTRY[key].params
 
 
@@ -85,7 +76,7 @@ def run_seq(args: argparse.Namespace, out) -> int:
         try:
             data = binet_data(args.params)
         except RationalRoots as exc:
-            raise UsageError(f"rational roots: {exc}") from None
+            raise ValueError(f"rational roots: {exc}") from None
         terms = data.terms(lo, hi)
     else:
         terms = window(args.params, lo, hi)
@@ -102,7 +93,7 @@ def run_audit(args: argparse.Namespace, out) -> int:
         runner = lookup.get(args.identity.lower())
         if runner is None:
             known = ", ".join(CATALOG)
-            raise UsageError(f"unknown identity {args.identity!r} (known: {known})")
+            raise ValueError(f"unknown identity {args.identity!r} (known: {known})")
         reports = runner(span)
     out.write(reports_to_json(reports) + "\n")
     # UNEVALUABLE never fails the run; only an actual refutation does
@@ -112,18 +103,18 @@ def run_audit(args: argparse.Namespace, out) -> int:
 def _read_operand(line: str, which: str) -> HybridQuaternion:
     fields = line.split(",")
     if len(fields) != 16:
-        raise UsageError(f"{which} operand: expected 16 coefficients, got {len(fields)}")
+        raise ValueError(f"{which} operand: expected 16 coefficients, got {len(fields)}")
     try:
         # Element stops at the first foreign surd, before the rest are parsed
         return HybridQuaternion(parse_scalar(f.strip()) for f in fields)
     except (ValueError, HybridQuatError) as exc:
-        raise UsageError(f"{which} operand: {exc}") from None
+        raise ValueError(f"{which} operand: {exc}") from None
 
 
 def run_mul(args: argparse.Namespace, stdin, out) -> int:
     lines = [line for line in (raw.strip() for raw in stdin) if line]
     if len(lines) != 2:
-        raise UsageError(f"mul needs exactly two operand lines, got {len(lines)}")
+        raise ValueError(f"mul needs exactly two operand lines, got {len(lines)}")
     left = _read_operand(lines[0], "left")
     right = _read_operand(lines[1], "right")
     coeffs = [str(c) for c in (left * right).coeffs]
@@ -193,7 +184,7 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     if args.command == "seq":
         args.params = _resolve_sequence(args.sequence, args.params)
     if args.command != "mul" and args.lo > args.hi:
-        raise UsageError(f"empty range: --from {args.lo} > --to {args.hi}")
+        raise ValueError(f"empty range: --from {args.lo} > --to {args.hi}")
     return args
 
 
@@ -203,27 +194,23 @@ _parser = (None, None)
 
 
 def main(argv: list[str] | None = None) -> int:
+    global _parser
     # exact values of any size are parsed and printed in full
     with unlimited_digits():
-        return _main(argv)
-
-
-def _main(argv: list[str] | None) -> int:
-    global _parser
-    if _parser[0] is not build_parser:
-        _parser = (build_parser, build_parser())
-    try:
-        args = _parser[1].parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help; pass both through
-        return int(exc.code or 0)
-    try:
-        args = _config_from_args(args)
-        if args.command == "seq":
-            return run_seq(args, sys.stdout)
-        if args.command == "audit":
-            return run_audit(args, sys.stdout)
-        return run_mul(args, sys.stdin, sys.stdout)
-    except (UsageError, HybridQuatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if _parser[0] is not build_parser:
+            _parser = (build_parser, build_parser())
+        try:
+            args = _parser[1].parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors and 0 on --help; pass both through
+            return int(exc.code or 0)
+        try:
+            args = _config_from_args(args)
+            if args.command == "seq":
+                return run_seq(args, sys.stdout)
+            if args.command == "audit":
+                return run_audit(args, sys.stdout)
+            return run_mul(args, sys.stdin, sys.stdout)
+        except (HybridQuatError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2

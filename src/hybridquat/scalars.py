@@ -328,7 +328,7 @@ def make_quad_roots(p, q) -> tuple[QuadExt, QuadExt]:
 
 
 def split_terms(text: str) -> list[tuple[int, str]]:
-    """Split an expression on top-level + and - into (sign, body) pairs."""
+    """Split an expression on top-level + and - (not an exponent's) into (sign, body) pairs."""
     s = text.strip()
     if not s:
         raise ValueError("empty expression")
@@ -343,7 +343,7 @@ def split_terms(text: str) -> list[tuple[int, str]]:
             depth -= 1
             if depth < 0:
                 raise ValueError(f"unbalanced parentheses in {text!r}")
-        elif ch in "+-" and depth == 0 and i != start:
+        elif ch in "+-" and depth == 0 and i != start and s[i - 1] not in "eE":
             body = s[start:i].strip()
             if body:
                 terms.append((sign, body))
@@ -378,18 +378,18 @@ def strip_outer_parens(text: str) -> str:
 
 def _parse_surd_body(body: str) -> tuple[Fraction, int]:
     head, _, tail = body.partition("sqrt(")
-    if not tail.endswith(")"):
-        raise ValueError(f"malformed surd term {body!r}")
     try:
-        disc = int(tail[:-1])
+        disc = parse_fraction(tail[:-1]) if tail.endswith(")") else None
     except ValueError:
-        raise ValueError(f"malformed surd term {body!r}") from None
+        disc = None
+    if disc is None or disc.denominator != 1:
+        raise ValueError(f"malformed surd term {body!r}")
     head = head.strip()
     if head.endswith("*"):
         head = head[:-1].strip()
     if head in ("", "+", "-"):
         head += "1"
-    return parse_fraction(head), disc
+    return parse_fraction(head), disc.numerator
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -274,21 +274,22 @@ def test_seq_help_lists_the_lifts_in_their_order(cli, monkeypatch):
 
 
 def test_seq_requires_a_sequence(cli):
-    code, _, err = cli(["seq", "--from", "0", "--to", "5"])
-    assert code == 2
-    assert "--sequence or --params" in err
+    code, out, err = cli(["seq", "--from", "0", "--to", "5"])
+    assert (code, out, err) == (2, "", "error: seq needs --sequence or --params\n")
 
 
 def test_seq_empty_range(cli):
-    code, _, err = cli(["seq", "--sequence", "fibonacci", "--from", "5", "--to", "4"])
-    assert code == 2
-    assert "empty range" in err
+    code, out, err = cli(["seq", "--sequence", "fibonacci", "--from", "5", "--to", "4"])
+    assert (code, out, err) == (2, "", "error: empty range: --from 5 > --to 4\n")
 
 
 def test_unknown_sequence(cli):
-    code, _, err = cli(["seq", "--sequence", "tribonacci", "--from", "0", "--to", "1"])
-    assert code == 2
-    assert "unknown sequence" in err
+    code, out, err = cli(["seq", "--sequence", "tribonacci", "--from", "0", "--to", "1"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: unknown sequence 'tribonacci' (known: fermat, fibonacci, jacobsthal, "
+        "jacobsthal-lucas, lucas, mersenne, pell, pell-lucas)\n"
+    )
     # an unknown sequence is reported before an empty range
     code, _, err = cli(["seq", "--sequence", "nosuch", "--from", "5", "--to", "1"])
     assert code == 2
@@ -360,9 +361,14 @@ def test_audit_empty_range(cli):
 
 
 def test_audit_unknown_identity(cli):
-    code, _, err = cli(["audit", "--identity", "Thm9.9"])
-    assert code == 2
-    assert "unknown identity" in err
+    code, out, err = cli(["audit", "--identity", "Thm9.9"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: unknown identity 'Thm9.9' (known: Thm2.1, Thm3.1.i, Thm3.1.ii, "
+        "Thm3.1.iii, Thm3.2.i, Thm3.2.ii, Thm3.3.i, Thm3.3.ii, Thm3.3.iii-hat, "
+        "Thm3.3.iii-breve, Thm3.4.i, Thm3.4.ii, C1@x^2-x-1, C2@x^2-x-1, "
+        "C1@x^2-2x-1, C2@x^2-2x-1)\n"
+    )
 
 
 def test_values_past_the_int_digit_limit_render_in_full(cli):
@@ -422,9 +428,10 @@ def test_mul_fractions_json(cli):
 
 
 def test_mul_rejects_short_row(cli):
-    code, _, err = cli(["mul"], stdin_text="1,2,3\n" + IDENTITY_ROW + "\n")
-    assert code == 2
-    assert "expected 16 coefficients" in err
+    code, out, err = cli(["mul"], stdin_text="1,2,3\n" + IDENTITY_ROW + "\n")
+    assert (code, out, err) == (2, "", "error: left operand: expected 16 coefficients, got 3\n")
+    code, out, err = cli(["mul"], stdin_text=IDENTITY_ROW + "\n1,2\n")
+    assert (code, out, err) == (2, "", "error: right operand: expected 16 coefficients, got 2\n")
 
 
 def test_mul_rejects_garbage_field(cli):
@@ -447,6 +454,21 @@ def test_mul_reads_any_spelling_of_a_field(cli):
     code, out, err = cli(["mul"], stdin_text=row + "\n" + IDENTITY_ROW + "\n")
     assert (code, err) == (0, "")
     assert out == "3*sqrt(2)" + ",0" * 15 + "\n"
+
+
+def test_mul_reads_an_exponent_as_its_number(cli):
+    # the exponent's sign belongs to the number, not to the expression
+    want = cli(["mul"], stdin_text="1/100" + ",0" * 15 + "\n" + I_HI_ROW + "\n")
+    assert want[0] == 0 and want[1].split(",")[5] == "1/100"
+    for field in ("1e-2", "1E-2", "10e-3"):
+        row = field + ",0" * 15
+        assert cli(["mul"], stdin_text=row + "\n" + I_HI_ROW + "\n") == want, field
+
+
+def test_mul_refuses_a_radicand_outside_the_number_grammar(cli):
+    row = "sqrt(1_0)" + ",0" * 15
+    code, out, err = cli(["mul"], stdin_text=row + "\n" + IDENTITY_ROW + "\n")
+    assert (code, out, err) == (2, "", "error: left operand: malformed surd term 'sqrt(1_0)'\n")
 
 
 def test_mul_rejects_mixed_fields(cli):
@@ -515,9 +537,8 @@ def test_mul_over_sixteen_spellings_of_one_field_factors_once(cli, monkeypatch):
 
 
 def test_mul_needs_two_lines(cli):
-    code, _, err = cli(["mul"], stdin_text=IDENTITY_ROW + "\n")
-    assert code == 2
-    assert "two operand lines" in err
+    code, out, err = cli(["mul"], stdin_text=IDENTITY_ROW + "\n")
+    assert (code, out, err) == (2, "", "error: mul needs exactly two operand lines, got 1\n")
 
 
 def test_module_is_runnable():

@@ -17,6 +17,7 @@ from hybridquat.errors import (
     RepeatedRoot,
 )
 from hybridquat.hybrid import Hybrid
+from hybridquat.hybrid_quaternion import HybridQuaternion, parse_hybrid_quaternion
 from hybridquat.scalars import (
     QuadExt,
     make_quad_roots,
@@ -451,6 +452,14 @@ def test_parse_goldens():
     assert parse_scalar("(1/2 + 1/2*sqrt(5))") == QuadExt(
         Fraction(1, 2), Fraction(1, 2), 5
     )
+    # an exponent's sign stays inside its number
+    assert parse_scalar("1e-2") == Fraction(1, 100)
+    assert parse_scalar("1E+2") == 100
+    assert str(parse_scalar("2.5e-1*sqrt(5)")) == "1/4*sqrt(5)"
+    assert parse_hybrid_quaternion("1e-2*1*hi") == HybridQuaternion([0, Fraction(1, 100)] + [0] * 14)
+    # a radicand is an integer in the same number grammar
+    assert parse_scalar("sqrt(1e3)") == QuadExt(0, 10, 10)
+    assert parse_scalar("sqrt(10/2)") == QuadExt(0, 1, 5)
 
 
 def test_quadext_arithmetic_refuses_a_float():
@@ -490,6 +499,8 @@ def test_parse_rejects_garbage():
         ("sqrt(5)x", "malformed surd term 'sqrt(5)x'"),
         ("sqrt(5/4)", "malformed surd term 'sqrt(5/4)'"),
         ("sqrt(x)", "malformed surd term 'sqrt(x)'"),
+        ("sqrt(1_0)", "malformed surd term 'sqrt(1_0)'"),
+        ("sqrt(1/0)", "malformed surd term 'sqrt(1/0)'"),
         # the first parenthesis closes early, so the outer pair is kept
         ("(1) + (2)", "Invalid literal for Fraction: '(1)'"),
         # digit underscores and spaces around "/" are refused on every Python,
@@ -517,6 +528,7 @@ def test_split_terms():
     assert split_terms("-3") == [(1, "-3")]
     assert split_terms("1 + -3") == [(1, "1"), (-1, "3")]
     assert split_terms("(1 - 2) - 3") == [(1, "(1 - 2)"), (-1, "3")]
+    assert split_terms("1e-2 - 3") == [(1, "1e-2"), (-1, "3")]
 
 
 @hypothesis.given(quadexts())
