@@ -43,17 +43,12 @@ from collections import namedtuple
 from functools import lru_cache, partial
 
 from .errors import MixedDiscriminant, RationalRoots, RepeatedRoot
-from .hybrid_quaternion import HybridQuaternion
+from .hybrid_quaternion import HYBRID_UNITS, QUAT_UNITS, HybridQuaternion
 from .scalars import QuadExt, unlimited_digits
 from .sequences import (
-    FERMAT,
     FIBONACCI,
-    JACOBSTHAL,
-    JACOBSTHAL_LUCAS,
     LUCAS,
-    MERSENNE,
-    PELL,
-    PELL_LUCAS,
+    REGISTRY,
     HoradamParams,
     _conjugate,
     _lift,
@@ -71,18 +66,9 @@ REFUTED = "REFUTED"
 UNEVALUABLE = "UNEVALUABLE"
 
 # report order for Thm 2.1: the two generalized families first, sampled
-# at (p, q) = (3, -1), then the eight named sequences
+# at (p, q) = (3, -1), then the registry in its own order
 AUDIT_SEQUENCES = (
-    generalized_fibonacci(3, -1),
-    generalized_lucas(3, -1),
-    FIBONACCI,
-    LUCAS,
-    PELL,
-    PELL_LUCAS,
-    JACOBSTHAL,
-    JACOBSTHAL_LUCAS,
-    MERSENNE,
-    FERMAT,
+    generalized_fibonacci(3, -1), generalized_lucas(3, -1), *REGISTRY.values()
 )
 
 
@@ -176,8 +162,8 @@ def _binet(seq, weight=None):
 
 # -- Fibonacci hybrid quaternion relations ----------------------------------
 
-_QUAT_UNITS = tuple(HybridQuaternion.unit(u, "1") for u in ("i", "j", "k"))
-_HYBRID_UNITS = tuple(HybridQuaternion.unit("1", v) for v in ("hi", "eps", "hh"))
+_QUAT_UNITS = tuple(HybridQuaternion.unit(u, "1") for u in QUAT_UNITS[1:])
+_HYBRID_UNITS = tuple(HybridQuaternion.unit("1", v) for v in HYBRID_UNITS[1:])
 
 
 def _combination(hat, n: int, units) -> HybridQuaternion:

@@ -33,16 +33,14 @@ HYBRID_UNITS = ("1", "hi", "eps", "hh")
 CANONICAL_PAIRS = tuple((u, v) for u in QUAT_UNITS for v in HYBRID_UNITS)
 COLUMN_NAMES = tuple(f"c_{u}_{v}" for u, v in CANONICAL_PAIRS)
 
-_QIDX = {name: s for s, name in enumerate(QUAT_UNITS)}
-_HIDX = {name: t for t, name in enumerate(HYBRID_UNITS)}
 _HALF = Fraction(1, 2)
 
 
 def _unit_index(u: str, v: str, where: str = "") -> int:
     """The coefficient index of the unit pair u*v; where ends the error message."""
-    if u not in _QIDX or v not in _HIDX:
+    if (u, v) not in CANONICAL_PAIRS:
         raise ValueError(f"unknown unit pair {u!r}, {v!r}{where}")
-    return 4 * _QIDX[u] + _HIDX[v]
+    return CANONICAL_PAIRS.index((u, v))
 
 
 def _hamilton(p, q) -> tuple:

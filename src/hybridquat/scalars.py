@@ -15,6 +15,7 @@ All arithmetic is exact; nothing here ever touches floating point.
 
 from __future__ import annotations
 
+import re
 import sys
 from collections import deque
 from contextlib import contextmanager
@@ -213,10 +214,7 @@ class QuadExt:
         )
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return (-self).__add__(other)
 
     def __neg__(self):
         return QuadExt._new(-self.rat_part, -self.surd_part, self.discriminant)
@@ -393,10 +391,13 @@ def _parse_surd_body(body: str) -> tuple[Fraction, int]:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse "n" or "n/d"; a zero denominator is a ValueError like any bad text,
-    and so, on every Python, are digit underscores and inner whitespace."""
+    """Parse "n" or "n/d"; on every Python, bad text, a zero denominator, digit underscores,
+    inner whitespace and an exponent past int's 4300-digit text limit are ValueErrors."""
     if "_" in text or len(text.split()) > 1:
         raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    exponent = re.fullmatch(r"\s*[-+]?(?:\d+(?:\.\d*)?|\.\d+)[eE]([-+]?\d+)\s*", text)
+    if exponent and abs(int(exponent[1])) > 4300:
+        raise ValueError(f"exponent too large in {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -337,9 +337,21 @@ def test_report_json_schema(full_audit):
 
 
 def test_sequence_labels_in_reports(full_audit):
+    # the generalized families, then the registry in its own order
     labels = [r.sequence.label() for r in full_audit[:10]]
     assert labels == [s.label() for s in AUDIT_SEQUENCES]
-    assert labels[0] == "GeneralizedFibonacci(3,-1)"
+    assert labels == [
+        "GeneralizedFibonacci(3,-1)",
+        "GeneralizedLucas(3,-1)",
+        "Fibonacci",
+        "Lucas",
+        "Pell",
+        "PellLucas",
+        "Jacobsthal",
+        "JacobsthalLucas",
+        "Mersenne",
+        "Fermat",
+    ]
 
 
 def test_catalog_covers_every_identity(full_audit):

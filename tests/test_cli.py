@@ -224,6 +224,12 @@ def test_params_refuse_digit_underscores(cli):
     assert (code, out, err) == (2, "", "error: --params: Invalid literal for Fraction: '1_0'\n")
 
 
+def test_params_refuse_an_exponent_past_the_digit_limit(cli):
+    # 1e400000 would be a 400,001-digit number: refused before it is built
+    code, out, err = cli(["seq", "--params", "1e400000,1,1,-1", "--from", "0", "--to", "2"])
+    assert (code, out, err) == (2, "", "error: --params: exponent too large in '1e400000'\n")
+
+
 def test_params_needs_four_fields(cli):
     code, out, err = cli(["seq", "--params", "0,1,1", "--from", "0", "--to", "1"])
     assert (code, out, err) == (2, "", "error: --params needs w0,w1,p,q (got 3 fields)\n")
@@ -463,6 +469,12 @@ def test_mul_reads_an_exponent_as_its_number(cli):
     for field in ("1e-2", "1E-2", "10e-3"):
         row = field + ",0" * 15
         assert cli(["mul"], stdin_text=row + "\n" + I_HI_ROW + "\n") == want, field
+
+
+def test_mul_refuses_an_exponent_past_the_digit_limit(cli):
+    row = "1e400000" + ",0" * 15
+    code, out, err = cli(["mul"], stdin_text=row + "\n" + IDENTITY_ROW + "\n")
+    assert (code, out, err) == (2, "", "error: left operand: exponent too large in '1e400000'\n")
 
 
 def test_mul_refuses_a_radicand_outside_the_number_grammar(cli):

@@ -545,6 +545,9 @@ def test_parse_goldens():
         parse_hybrid_quaternion("3*x*1")
     with pytest.raises(ValueError, match=re.escape("unknown unit pair 'x', '1'") + "$"):
         HybridQuaternion.unit("x", "1")
+    # an unhashable name is unknown like any other
+    with pytest.raises(ValueError, match=re.escape("unknown unit pair ['i'], '1'") + "$"):
+        HybridQuaternion.unit(["i"], "1")
     with pytest.raises(ValueError):
         parse_hybrid_quaternion("3*hi")
     with pytest.raises(ValueError):

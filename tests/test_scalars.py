@@ -319,6 +319,10 @@ def test_rational_operand_lifting():
     assert 2 * z == QuadExt(2, 2, 5)
     assert z - Fraction(1, 2) == QuadExt(Fraction(1, 2), 1, 5)
     assert 3 - z == QuadExt(2, -1, 5)
+    # a reflected difference keeps the QuadExt's discriminant and Fraction parts
+    assert repr(3 - z) == "QuadExt(Fraction(2, 1), Fraction(-1, 1), 5)"
+    assert repr(Fraction(1, 2) - z) == "QuadExt(Fraction(-1, 2), Fraction(-1, 1), 5)"
+    assert repr(3 - QuadExt(2, 0, 7)) == "QuadExt(Fraction(1, 1), Fraction(0, 1), 7)"
     assert z / 2 == QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
     assert 1 / QuadExt(0, 1, 5) == QuadExt(0, Fraction(1, 5), 5)
 
@@ -460,6 +464,9 @@ def test_parse_goldens():
     # a radicand is an integer in the same number grammar
     assert parse_scalar("sqrt(1e3)") == QuadExt(0, 10, 10)
     assert parse_scalar("sqrt(10/2)") == QuadExt(0, 1, 5)
+    # an exponent up to int's 4300-digit text limit is read in full
+    assert parse_scalar("1e4300") == 10**4300
+    assert parse_scalar("1e-4300") == Fraction(1, 10**4300)
 
 
 def test_quadext_arithmetic_refuses_a_float():
@@ -509,6 +516,9 @@ def test_parse_rejects_garbage():
         ("1/1_0", "Invalid literal for Fraction: '1/1_0'"),
         ("1 / 2", "Invalid literal for Fraction: '1 / 2'"),
         ("3 /4", "Invalid literal for Fraction: '3 /4'"),
+        # past int's 4300-digit text limit, refused before the number is built
+        ("1e400000", "exponent too large in '1e400000'"),
+        ("1e-4301", "exponent too large in '1e-4301'"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_scalar(text)
