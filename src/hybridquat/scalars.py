@@ -311,14 +311,18 @@ def make_quad_roots(p, q) -> tuple[QuadExt, QuadExt]:
     p = _as_fraction(p)
     q = _as_fraction(q)
     disc = p * p - 4 * q
+
+    def poly():  # each sign written once: x^2 + 2x + 1, not x^2 - -2x + 1
+        return f"x^2 {'-+'[p < 0]} {abs(p)}x {'+-'[q < 0]} {abs(q)}"
+
     if disc == 0:
-        raise RepeatedRoot(f"x^2 - {p}x + {q} has a double root")
+        raise RepeatedRoot(f"{poly()} has a double root")
     num, den = disc.numerator, disc.denominator
     try:
         # sqrt(num/den) = sqrt(num*den)/den
         half_root = QuadExt(0, Fraction(1, 2 * den), num * den)
     except RationalRoots:
-        raise RationalRoots(f"x^2 - {p}x + {q} splits over the rationals") from None
+        raise RationalRoots(f"{poly()} splits over the rationals") from None
     return p / 2 + half_root, p / 2 - half_root
 
 

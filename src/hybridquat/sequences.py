@@ -1,12 +1,12 @@
 """Horadam sequences, their named instances, lifts, and exact Binet forms.
 
-A Horadam sequence w_n(w0, w1; p, q) obeys w_n = p*w_{n-1} - q*w_{n-2},
-that is (w_n, w_{n+1}) = [[0, 1], [-q, p]] (w_{n-1}, w_n).  A window
-w_lo .. w_hi jumps to its start with a power of that step matrix (of its
-inverse for lo < 0, which needs q != 0) and walks forward from there.
-Both run on ints over one denominator: the matrix, the start values and
-p, q are each written as ints over the lcm of their denominators, and one
-Fraction is built per returned term.
+A Horadam sequence w_n(w0, w1; p, q) obeys w_n = p*w_{n-1} - q*w_{n-2}, and
+w_n = w_0*U_{n+1} + (w_1 - p*w_0)*U_n for every integer n, U being the Lucas
+sequence of (p, q) with U_0 = 0, U_1 = 1 and U_{-k} = -U_k/q^k.  A window
+w_lo .. w_hi jumps to its start through one pair (U_m, U_{m+1}), built by
+doubling (m = -lo - 1 for lo < 0, which needs q != 0), then walks forward,
+on ints over one denominator: p, q and the start values are each written as
+ints over the lcm of their denominators, one Fraction per returned term.
 Lifts place consecutive terms on the hybrid, quaternion and hybrid-quaternion
 bases; ``LIFTS`` gives each one's width and class, and ``_lift`` builds it:
 
@@ -114,25 +114,24 @@ def _over_one_denominator(values) -> tuple:
 
 
 def _jump(params: HoradamParams, n: int) -> tuple:
-    """(a, b, d) with w_n = a/d, w_{n+1} = b/d: the step matrix [[0, 1], [-q, p]]
-    (for n < 0 its inverse [[p/q, -1/q], [1, 0]]) as ints over m, raised to
-    the power |n| by repeated squaring and applied to (w_0, w_1) over theirs."""
-    p, q = params.p, params.q
-    (s, t, u, v), m = _over_one_denominator((0, 1, -q, p) if n >= 0 else (p / q, -1 / q, 1, 0))
+    """(a, b, d) with w_n = a/d, w_{n+1} = b/d, from the Lucas pair (u_m, u_{m+1})
+    of u = U(P, Q*c), m = n or -n-1, by doubling: u_{2k} = u_k(2u_{k+1} - P*u_k),
+    u_{2k+1} = u_{k+1}^2 - Q*c*u_k^2.  Over d*c^n for n >= 0, over d*Q^-n below."""
+    (P, Q), c = _over_one_denominator((params.p, params.q))
     (a, b), d = _over_one_denominator((params.w0, params.w1))
-    k = abs(n)
-    while k:
-        if k & 1:
-            a, b = s * a + t * b, u * a + v * b
-        k >>= 1
-        if k:
-            s, t, u, v = s * s + t * u, s * t + t * v, u * s + v * u, u * t + v * v
-    return a, b, d * m ** abs(n)
+    u, v, Qc = 0, 1, Q * c
+    for bit in bin(n if n >= 0 else ~n)[2:]:
+        u, v = u * (2 * v - P * u), v * v - Qc * (u * u)
+        if bit == "1":
+            u, v = v, P * v - Qc * u
+    if n >= 0:
+        return a * v + (c * b - P * a) * u, b * v - Q * a * u, d * c ** n
+    return -(Qc * a * u + (c * b - P * a) * v), Q * (a * v - c * b * u), d * Q ** -n
 
 
 def window(seq, lo: int, hi: int) -> list:
-    """Exact values w_lo .. w_hi: jump to (w_lo, w_{lo+1}) in O(log |lo|)
-    squarings, then walk on ints: with p = P/c, q = Q/c, T_j = w_{lo+j}*d*c^j
+    """Exact values w_lo .. w_hi: jump to (w_lo, w_{lo+1}) in O(log |lo|) Lucas
+    doublings, then walk on ints: with p = P/c, q = Q/c, T_j = w_{lo+j}*d*c^j
     obeys T_{j+1} = P*T_j - Q*c*T_{j-1}.  Only the window's terms are kept."""
     params = _params(seq)
     if lo > hi:

@@ -206,6 +206,19 @@ def test_binet_rejects_rational_roots(cli):
     assert err == "error: rational roots: x^2 - 3x + 2 splits over the rationals\n"
 
 
+@pytest.mark.parametrize(
+    "source, err",
+    [
+        (["--sequence", "jacobsthal"],
+         "error: rational roots: x^2 - 1x - 2 splits over the rationals\n"),
+        (["--params", "0,1,-2,1"], "error: x^2 + 2x + 1 has a double root\n"),
+    ],
+)
+def test_root_polynomial_messages_write_each_sign_once(cli, source, err):
+    code, out, got = cli(["seq", *source, "--from", "0", "--to", "2", "--method", "binet"])
+    assert (code, out, got) == (2, "", err)
+
+
 def test_params_zero_denominator(cli):
     code, out, err = cli(["seq", "--params", "0,1/0,1,-1", "--from", "0", "--to", "2"])
     assert (code, out) == (2, "")

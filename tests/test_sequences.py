@@ -199,6 +199,66 @@ def test_window_matches_the_stepwise_definition(w0, w1, p, q, lo, width):
     assert all(type(t) is Fraction for t in terms)
 
 
+def _matrix_power_window(params, lo, hi):
+    """w_lo .. w_hi from (w0, w1) by the Fraction step matrix [[0, 1], [-q, p]]
+    (its inverse for lo < 0) raised to |lo| by square-and-multiply, then
+    stepped forward by the recurrence."""
+    w0, w1, p, q = params
+    step = ((0, 1), (-q, p)) if lo >= 0 else ((p / q, -1 / q), (1, 0))
+
+    def times(x, y):
+        return tuple(
+            tuple(sum(x[i][m] * y[m][j] for m in range(2)) for j in range(2)) for i in range(2)
+        )
+
+    power, k = ((1, 0), (0, 1)), abs(lo)
+    while k:
+        if k & 1:
+            power = times(power, step)
+        step, k = times(step, step), k >> 1
+    terms = [power[0][0] * w0 + power[0][1] * w1, power[1][0] * w0 + power[1][1] * w1]
+    while len(terms) <= hi - lo:
+        terms.append(p * terms[-1] - q * terms[-2])
+    return terms[: hi - lo + 1]
+
+
+# +-(2^k - 1), +-2^k and +-(2^k + 1): the doubling reads the index's bits,
+# and these give it runs of ones, a lone one and ones at both ends
+EDGE_INDICES = sorted({s * (2**k + e) for k in range(13) for e in (-1, 0, 1) for s in (1, -1)})
+
+
+def _at_edge_indices(test):
+    for lo in EDGE_INDICES:
+        test = hypothesis.example(
+            HoradamParams(Fraction(1, 3), Fraction(-2, 5), Fraction(3, 2), Fraction(-5, 7)), lo, 3
+        )(test)
+    for params in (HoradamParams(Fraction(4, 7), 1, Fraction(-9, 2), 0), HoradamParams(3, -1, 0, 0)):
+        for lo in (0, 1, 4095, 4096, 4097):
+            test = hypothesis.example(params, lo, 3)(test)
+    return test
+
+
+@_at_edge_indices
+@hypothesis.settings(deadline=None)
+@hypothesis.given(
+    st.one_of(
+        st.builds(HoradamParams, WINDOW_RATIONALS, WINDOW_RATIONALS, WINDOW_RATIONALS,
+                  WINDOW_RATIONALS),
+        st.builds(HoradamParams, WINDOW_RATIONALS, WINDOW_RATIONALS, WINDOW_RATIONALS,
+                  st.just(0)),
+        st.builds(HoradamParams, WINDOW_RATIONALS, WINDOW_RATIONALS, st.just(0), st.just(0)),
+    ),
+    st.integers(min_value=-4100, max_value=4100),
+    st.integers(min_value=0, max_value=6),
+)
+def test_far_windows_match_a_fraction_matrix_power(params, lo, width):
+    # q = 0 has no inverse step, so its windows start at |lo|
+    lo = lo if params.q else abs(lo)
+    terms = window(params, lo, lo + width)
+    assert terms == _matrix_power_window(params, lo, lo + width)
+    assert all(type(t) is Fraction for t in terms)
+
+
 def test_point_window_keeps_only_its_terms():
     # seven terms near F(20000) are ~20 kB; a window that also kept the
     # ~20,000 terms below lo would peak at ~21 MB
@@ -536,6 +596,31 @@ def test_binet_lifts_match_recurrence_lifts(seq):
         assert hat == lift_hybrid_quaternion(seq, n)
         # every coefficient lands back in Q: the surds cancel exactly
         assert all(c.surd_part == 0 for c in hat.coeffs)
+
+
+def test_the_binet_route_never_calls_the_jump(monkeypatch):
+    # the audit compares the two routes, so they must share no code that
+    # could be wrong in both: with the jump broken, Binet values are unchanged
+    import hybridquat.sequences as sequences
+
+    def evaluate():
+        return [
+            (binet_scalar(seq, n), binet_hybrid_quaternion(seq, n),
+             binet_data(seq).table(lift, n, n))
+            for seq in (PELL, generalized_fibonacci(Fraction(1, 2), -1))
+            for n in (-2049, 0, 4096)
+            for lift in ("scalar", "hybrid-quaternion")
+        ]
+
+    before = evaluate()
+
+    def broken(params, n):
+        raise AssertionError("the Binet route reached the recurrence jump")
+
+    monkeypatch.setattr(sequences, "_jump", broken)
+    with pytest.raises(AssertionError, match="reached the recurrence jump"):
+        window(PELL, 0, 0)
+    assert evaluate() == before
 
 
 def test_binet_normalises_the_discriminant_once(monkeypatch):
