@@ -21,7 +21,7 @@ from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import DivisionByZero, MixedDiscriminant, RationalRoots, RepeatedRoot
 
@@ -253,9 +253,12 @@ class QuadExt:
     def __pow__(self, exponent: int) -> "QuadExt":
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return power(self, exponent, QuadExt._new(_ONE, _ZERO, self.discriminant))
+        base = self if exponent >= 0 else self.inverse()
+        a, b, d = base.rat_part, base.surd_part, base.discriminant
+        e = lcm(a.denominator, b.denominator)
+        ints = _Ints((a.numerator * (e // a.denominator), b.numerator * (e // b.denominator), e, d))
+        x, y, e, _ = power(ints, abs(exponent), _Ints((1, 0, 1, d)))
+        return QuadExt._new(Fraction(x, e), Fraction(y, e), d)
 
     def conjugate(self) -> "QuadExt":
         """The field conjugate a - b*sqrt(D)."""
@@ -297,7 +300,22 @@ class QuadExt:
         return f"{self.rat_part} {sign} {surd}"
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
+
+
+class _Ints(tuple):
+    """(x, y, e, D), (x + y*sqrt(D))/e on ints, for QuadExt.__pow__: a product shifts
+    out the power of 2 its ints share, as (1 + sqrt(5))^n/2^n keeps 2^(n-1) in all three."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        a, b, e, d = self
+        c, g, f, _ = other
+        x, y, e = a * c + b * g * d, a * g + b * c, e * f
+        low = x | y | e
+        shift = (low & -low).bit_length() - 1
+        return _Ints((x >> shift, y >> shift, e >> shift, d))
 
 
 def make_quad_roots(p, q) -> tuple[QuadExt, QuadExt]:
@@ -312,8 +330,9 @@ def make_quad_roots(p, q) -> tuple[QuadExt, QuadExt]:
     q = _as_fraction(q)
     disc = p * p - 4 * q
 
-    def poly():  # each sign written once: x^2 + 2x + 1, not x^2 - -2x + 1
-        return f"x^2 {'-+'[p < 0]} {abs(p)}x {'+-'[q < 0]} {abs(q)}"
+    def poly():  # each sign written once, a zero term not at all: x^2 + 2x + 1, x^2 - 1
+        terms = (f" {'-+'[p < 0]} {abs(p)}x" if p else "", f" {'+-'[q < 0]} {abs(q)}" if q else "")
+        return "x^2" + "".join(terms)
 
     if disc == 0:
         raise RepeatedRoot(f"{poly()} has a double root")

@@ -212,6 +212,12 @@ def test_binet_rejects_rational_roots(cli):
         (["--sequence", "jacobsthal"],
          "error: rational roots: x^2 - 1x - 2 splits over the rationals\n"),
         (["--params", "0,1,-2,1"], "error: x^2 + 2x + 1 has a double root\n"),
+        # a zero term is left out
+        (["--params", "0,1,0,0"], "error: x^2 has a double root\n"),
+        (["--params", "0,1,2,0"],
+         "error: rational roots: x^2 - 2x splits over the rationals\n"),
+        (["--params", "0,1,0,-1"],
+         "error: rational roots: x^2 - 1 splits over the rationals\n"),
     ],
 )
 def test_root_polynomial_messages_write_each_sign_once(cli, source, err):

@@ -301,15 +301,43 @@ def test_power_squares_only_up_to_the_top_bit(monkeypatch):
     for _ in range(140):
         expected = expected * x
     squarings, multiplies = [], []
-    product = QuadExt.__mul__
+    # the power runs on the int operand, so its product is the one counted
+    product = hybridquat.scalars._Ints.__mul__
 
     def counting(a, b):
         (squarings if a is b else multiplies).append(1)
         return product(a, b)
 
-    monkeypatch.setattr(QuadExt, "__mul__", counting)
+    monkeypatch.setattr(hybridquat.scalars._Ints, "__mul__", counting)
     assert x ** 141 == expected
     assert (len(squarings), len(multiplies)) == (7, 4)
+
+
+@st.composite
+def powers(draw):
+    # positive, negative, 1 mod 4 and non-squarefree D; odd primes in the denominators
+    d = draw(st.sampled_from([5, 2, -3, 17, 13, -1, 29, 12, -8]))
+    part = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 7, 9, 15, 40]))
+    return QuadExt(draw(part), draw(part), d), draw(st.integers(-70, 90))
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(powers())
+@hypothesis.example((QuadExt(0, 0, 5), 0))
+@hypothesis.example((QuadExt(0, 0, 5), 3))
+@hypothesis.example((QuadExt(0, 0, 5), -1))
+def test_power_matches_repeated_multiplies(case):
+    q, n = case
+    if not q and n < 0:
+        with pytest.raises(DivisionByZero):
+            q ** n
+        return
+    base = q if n >= 0 else q.inverse()
+    expected = QuadExt(1, 0, q.discriminant)
+    for _ in range(abs(n)):
+        expected = expected * base
+    got = q ** n
+    assert (repr(got), hash(got)) == (repr(expected), hash(expected))
 
 
 def test_rational_operand_lifting():

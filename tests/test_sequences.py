@@ -822,3 +822,35 @@ def test_binet_table_raises_one_power(lift, lo, width, monkeypatch):
     rows = data.table(lift, lo, lo + width)
     assert len(rows) == width + 1
     assert calls == [abs(lo)]
+
+
+def _lucas_pair(p, q, n):
+    """V_n and U_n of x^2 - p*x + q by a plain Fraction loop, and
+    V_-n = V_n/q^n, U_-n = -U_n/q^n below 0."""
+    v, v_next, u, u_next = Fraction(2), p, Fraction(0), Fraction(1)
+    for _ in range(abs(n)):
+        v, v_next = v_next, p * v_next - q * v
+        u, u_next = u_next, p * u_next - q * u
+    if n < 0:
+        return v / q ** -n, -u / q ** -n
+    return v, u
+
+
+@pytest.mark.parametrize(
+    "params, far",
+    [
+        (FERMAT.params, 20000),
+        (generalized_fibonacci(Fraction(1, 3), -1).params, 5000),
+        (HoradamParams(0, 1, 30001, -1), 1100),
+    ],
+)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_far_root_powers_match_the_lucas_pair(params, far, sign):
+    # alpha^n = (V_n + U_n*(alpha - beta))/2, with V and U from the recurrence alone
+    data = binet_data(params)
+    v, u = _lucas_pair(params.p, params.q, sign * far)
+    expected = (v + u * (data.alpha - data.beta)) / 2
+    got = data.alpha ** (sign * far)
+    assert (got.rat_part, got.surd_part, got.discriminant) == (
+        expected.rat_part, expected.surd_part, expected.discriminant,
+    )
