@@ -212,6 +212,8 @@ class Element:
             return NotImplemented
         if self._den and other._den:
             return self._den == other._den and self._num == other._num
+        if self._den:  # QuadExt cells on the left, where QuadExt.__eq__ reads a Fraction
+            self, other = other, self
         return self.components() == other.components()
 
     def __hash__(self):

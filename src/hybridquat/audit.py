@@ -53,10 +53,10 @@ from .sequences import (
     _conjugate,
     _lift,
     _params,
+    _walk,
     binet_data,
     generalized_fibonacci,
     generalized_lucas,
-    window,
 )
 
 DEFAULT_SPAN = (-10, 30)
@@ -113,7 +113,7 @@ def _validate_span(span) -> tuple:
 class _Scans:
     """State of one audit call over one span.
 
-    Recurrence terms (one ``window`` per sequence: w_{lo-2} up to w_{last+9},
+    Recurrence terms (one ``_walk`` per sequence: w_{lo-2} up to w_{last+9},
     as far as hat(w)_{last+3}, breve(w)_{last+6} and tilde(w)_{last+6} read,
     where last is the span's R-th index, R the largest declared order) are
     built on first use and shared by this call only; ``lift`` reads them.
@@ -128,7 +128,7 @@ class _Scans:
 
     def lift(self, seq, lift: str):
         if seq not in self._terms:
-            self._terms[seq] = window(seq, self.span[0] - 2, self.last + 9)
+            self._terms[seq] = _walk(seq, self.span[0] - 2, self.last + 9)
         return partial(_lift, self._terms[seq], self.span[0] - 2, lift)
 
 

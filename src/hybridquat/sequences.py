@@ -5,8 +5,9 @@ w_n = w_0*U_{n+1} + (w_1 - p*w_0)*U_n for every integer n, U being the Lucas
 sequence of (p, q) with U_0 = 0, U_1 = 1 and U_{-k} = -U_k/q^k.  A window
 w_lo .. w_hi jumps to its start through one pair (U_m, U_{m+1}), built by
 doubling (m = -lo - 1 for lo < 0, which needs q != 0), then walks forward,
-on ints over one denominator: p, q and the start values are each written as
-ints over the lcm of their denominators, one Fraction per returned term.
+on ints over one denominator (``_walk``): p, q and the start values are each
+ints over the lcm of their denominators, and the terms come out as ints over
+one positive denominator, which the lifts read; ``window`` makes the Fractions.
 Lifts place consecutive terms on the hybrid, quaternion and hybrid-quaternion
 bases; ``LIFTS`` gives each one's width and class, and ``_lift`` builds it:
 
@@ -31,8 +32,8 @@ alpha_under = 1 + alpha*i + alpha^2*j + alpha^3*k.  The parameters are
 rational, so beta = conj(alpha) and B = conj(A) in Q(sqrt(D)), and each
 beta term is the alpha term with every coefficient conjugated.  And
 coefficient (s, t) of alpha_star*alpha_under is alpha^(s+t), so a lift's
-value is ``_lift`` of the scalar Binet terms 2*rat(A*alpha^k), exactly as the
-recurrence lift is of w_k: no surd half and no root product is formed.
+value is the ``_layout`` of the scalar Binet terms 2*rat(A*alpha^k), exactly as
+the recurrence lift is of w_k: no surd half and no root product is formed.
 Everything is exact, and every value agrees with the recurrence.
 """
 
@@ -46,7 +47,7 @@ from .errors import NegativeIndexWithZeroQ
 from .hybrid import Hybrid
 from .hybrid_quaternion import HybridQuaternion
 from .quaternion import Quaternion
-from .scalars import QuadExt, _as_fraction, make_quad_roots
+from .scalars import _ZERO, QuadExt, _as_fraction, make_quad_roots
 
 
 class HoradamParams(namedtuple("HoradamParams", "w0 w1 p q")):
@@ -129,23 +130,32 @@ def _jump(params: HoradamParams, n: int) -> tuple:
     return -(Qc * a * u + (c * b - P * a) * v), Q * (a * v - c * b * u), d * Q ** -n
 
 
-def window(seq, lo: int, hi: int) -> list:
-    """Exact values w_lo .. w_hi: jump to (w_lo, w_{lo+1}) in O(log |lo|) Lucas
-    doublings, then walk on ints: with p = P/c, q = Q/c, T_j = w_{lo+j}*d*c^j
-    obeys T_{j+1} = P*T_j - Q*c*T_{j-1}.  Only the window's terms are kept."""
+def _walk(seq, lo: int, hi: int) -> tuple:
+    """(ints, den): w_lo .. w_hi as ints over one positive den.  Jump to
+    (w_lo, w_{lo+1}) in O(log |lo|) Lucas doublings, then walk on ints: with
+    p = P/c, q = Q/c, T_j = w_{lo+j}*d*c^j obeys T_{j+1} = P*T_j - Q*c*T_{j-1}.
+    Only the window's terms are kept."""
     params = _params(seq)
     if lo > hi:
         raise ValueError("empty index window")
     if lo < 0 and not params.q:
-        raise NegativeIndexWithZeroQ(
-            f"{params.label()} cannot run backwards: q = 0"
-        )
+        raise NegativeIndexWithZeroQ(f"{params.label()} cannot run backwards: q = 0")
     a, b, d = _jump(params, lo)
     (P, Q), c = _over_one_denominator((params.p, params.q))
-    ints, Q = [a, b * c], Q * c
+    ints, Q = [a, b * c][: hi - lo + 1], Q * c
     while len(ints) <= hi - lo:
         ints.append(P * ints[-1] - Q * ints[-2])
-    return [Fraction(t, d * c ** j) for j, t in enumerate(ints[: hi - lo + 1])]
+    if c > 1:  # T_j over d*c^j, so all over d*c^(hi-lo)
+        ints, d = [t * c ** (hi - lo - j) for j, t in enumerate(ints)], d * c ** (hi - lo)
+    if d < 0:  # d*Q^k from the jump, Q < 0 and k odd
+        ints, d = [-t for t in ints], -d
+    return ints, d
+
+
+def window(seq, lo: int, hi: int) -> list:
+    """Exact values w_lo .. w_hi, the Fractions of ``_walk``'s ints over its den."""
+    ints, den = _walk(seq, lo, hi)
+    return [Fraction(t, den) for t in ints]
 
 
 def horadam(seq, n: int) -> Fraction:
@@ -174,15 +184,17 @@ def _layout(terms, lo: int, lift: str, n: int) -> list:
     return w
 
 
-def _lift(terms, lo: int, lift: str, n: int):
-    """The lift's value at n, laid out by ``_layout`` from terms indexed from lo."""
-    coeffs = _layout(terms, lo, lift, n)
+def _lift(walk, lo: int, lift: str, n: int):
+    """The lift's value at n from walk, ``_walk``'s (ints, den) from w_lo on: its
+    ``_layout`` of ints reduced over den, or for the scalar lift one Fraction."""
+    ints, den = walk
+    coeffs = _layout(ints, lo, lift, n)
     cls = LIFTS[lift][1]
-    return cls._from_values(coeffs) if cls else coeffs[0]
+    return cls._reduced(tuple(coeffs), den) if cls else Fraction(coeffs[0], den)
 
 
 def _point(seq, lift: str, n: int):
-    return _lift(window(seq, n, n + LIFTS[lift][0] - 1), n, lift, n)
+    return _lift(_walk(seq, n, n + LIFTS[lift][0] - 1), n, lift, n)
 
 
 def lift_hybrid(seq, n: int) -> Hybrid:
@@ -224,12 +236,15 @@ class BinetData(
         return values
 
     def table(self, lift: str, lo: int, hi: int) -> list:
-        """The lift's values at n = lo .. hi, built by ``_lift`` from terms
-        that are each written into the roots' field, with zero surd part."""
+        """The lift's values at n = lo .. hi, laid out by ``_layout`` from
+        terms that are each written into the roots' field, with zero surd part."""
         if lo > hi:
             raise ValueError("empty index window")
-        terms = [self.alpha._lift(w) for w in self.terms(lo, hi + LIFTS[lift][0] - 1)]
-        return [_lift(terms, lo, lift, n) for n in range(lo, hi + 1)]
+        width, cls = LIFTS[lift]
+        D = self.alpha.discriminant
+        terms = [QuadExt._new(w, _ZERO, D) for w in self.terms(lo, hi + width - 1)]
+        rows = [_layout(terms, lo, lift, n) for n in range(lo, hi + 1)]
+        return [cls._new(tuple(row), None) if cls else row[0] for row in rows]
 
 
 def binet_data(seq) -> BinetData:

@@ -387,15 +387,15 @@ def _clear_constant_caches():
 def test_one_window_per_sequence_per_call_and_one_binet_build_per_parameter_set(monkeypatch):
     windows, builds = [], []
     for module in (hybridquat.sequences, hybridquat.audit):
-        _count_calls(monkeypatch, module, "window", windows)
+        _count_calls(monkeypatch, module, "_walk", windows)
         _count_calls(monkeypatch, module, "binet_data", builds)
-    spans, counted = [], hybridquat.audit.window
+    spans, counted = [], hybridquat.audit._walk
 
     def recorded(seq, lo, hi):
         spans.append((lo, hi))
         return counted(seq, lo, hi)
 
-    monkeypatch.setattr(hybridquat.audit, "window", recorded)
+    monkeypatch.setattr(hybridquat.audit, "_walk", recorded)
 
     # each window runs from w_{lo-2}, which hat(w)_{n-2} reads, to w_{last+9},
     # which hat(w)_{last+3} and the hybrid and quaternion lifts at last+6 read
@@ -632,7 +632,7 @@ def test_a_shift_vanishing_before_the_last_certified_index_is_refuted(key, shift
 
 def test_audit_cost_does_not_grow_with_the_span(monkeypatch, full_audit):
     longest = max(ORDERS.values()) + 14
-    real = hybridquat.sequences.window
+    real = hybridquat.sequences._walk
 
     def bounded(seq, lo, hi):
         if hi - lo + 1 > longest:
@@ -640,7 +640,7 @@ def test_audit_cost_does_not_grow_with_the_span(monkeypatch, full_audit):
         return real(seq, lo, hi)
 
     for module in (hybridquat.sequences, hybridquat.audit):
-        monkeypatch.setattr(module, "window", bounded)
+        monkeypatch.setattr(module, "_walk", bounded)
     span = (-(10**4), 10**4)
     reports = audit_all(span)
     assert [r.status_label() for r in reports] == [r.status_label() for r in full_audit]

@@ -402,6 +402,21 @@ def test_surd_free_quadext_equals_rational():
     assert same + root2 == x + root2
 
 
+@pytest.mark.parametrize("k", [0, 5, 15])
+def test_one_surd_cell_makes_a_rational_value_unequal(k):
+    # the rational side meets the QuadExt side in either order, in each algebra
+    makers = ((HybridQuaternion, 16), (lambda c: Hybrid(*c), 4), (lambda c: Quaternion(*c), 4))
+    for make, size in makers:
+        x = make(tuple(Fraction(m - 5, m + 1) for m in range(size)))
+        cells = [QuadExt(c, 0, 5) for c in x.components()]
+        same = make(tuple(cells))
+        cells[k % size] = QuadExt(cells[k % size].rat_part, Fraction(-1, 3), 5)
+        other = make(tuple(cells))
+        assert (x == same, same == x, x != same, same != x) == (True, True, False, False)
+        assert hash(x) == hash(same)
+        assert (x == other, other == x, x != other, other != x) == (False, False, True, True)
+
+
 # -- decompositions --------------------------------------------------------
 
 

@@ -397,6 +397,12 @@ def test_surd_free_values_equal_across_discriminants():
         (QuadExt(3, 0, 5), 4, False),
         (QuadExt(3, 1, 5), 3, False),
         (QuadExt(3, 1, 5), Fraction(3), False),
+        # a bool is an int: True is 1 and False is 0
+        (QuadExt(1, 0, 5), True, True),
+        (QuadExt(0, 0, 5), False, True),
+        (QuadExt(2, 0, 5), True, False),
+        (QuadExt(1, 1, 5), True, False),
+        (QuadExt(0, 1, 5), False, False),
         # a float is not an exact scalar, whatever its value
         (QuadExt(1, 0, 5), 1.0, False),
         (QuadExt(1, 1, 5), 1.0, False),

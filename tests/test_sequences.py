@@ -2,12 +2,14 @@
 
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import hypothesis
 import hypothesis.strategies as st
 import pytest
 
 import hybridquat.scalars
+from hybridquat.audit import _Scans
 from hybridquat.errors import (
     NegativeIndexWithZeroQ,
     RationalRoots,
@@ -32,6 +34,7 @@ from hybridquat.sequences import (
     LIFTS,
     SequenceId,
     _lift,
+    _walk,
     binet_data,
     binet_hybrid,
     binet_hybrid_quaternion,
@@ -312,20 +315,20 @@ def test_lift_recurrence_linearity(n):
 
 
 def test_window_lifts_are_slices_and_stay_inside():
-    terms = window(LUCAS, -3, 9)
+    walk = _walk(LUCAS, -3, 9)
     for n in range(-3, 3):
-        assert _lift(terms, -3, "scalar", n) == horadam(LUCAS, n)
-        assert _lift(terms, -3, "hybrid", n) == Hybrid(*(horadam(LUCAS, n + k) for k in range(4)))
-        assert _lift(terms, -3, "quaternion", n) == Quaternion(
+        assert _lift(walk, -3, "scalar", n) == horadam(LUCAS, n)
+        assert _lift(walk, -3, "hybrid", n) == Hybrid(*(horadam(LUCAS, n + k) for k in range(4)))
+        assert _lift(walk, -3, "quaternion", n) == Quaternion(
             *(horadam(LUCAS, n + k) for k in range(4))
         )
-        assert _lift(terms, -3, "hybrid-quaternion", n).as_quaternion_basis() == tuple(
-            _lift(terms, -3, "hybrid", n + s) for s in range(4)
+        assert _lift(walk, -3, "hybrid-quaternion", n).as_quaternion_basis() == tuple(
+            _lift(walk, -3, "hybrid", n + s) for s in range(4)
         )
     # a lift that would read w_10 or w_-4 is refused, not truncated
     for lift, n in (("hybrid-quaternion", 4), ("hybrid", 7), ("scalar", 10), ("scalar", -4)):
         with pytest.raises(IndexError, match=f"{lift} lift at {n} reads past the window"):
-            _lift(terms, -3, lift, n)
+            _lift(walk, -3, lift, n)
 
 
 def test_a_far_point_lift_is_a_slice_of_a_wider_window():
@@ -337,8 +340,71 @@ def test_a_far_point_lift_is_a_slice_of_a_wider_window():
     assert lift_hybrid_quaternion(PELL, -2000) == HybridQuaternion(
         [w[s + t] for s in range(4) for t in range(4)]
     )
+    ints, den = _walk(PELL, -2010, -1980)
     for lift in LIFTS:
-        assert _lift(terms, -2010, lift, -2000) == _lift(w, -2000, lift, -2000)
+        wide, narrow = (ints, den), (ints[10:17], den)
+        assert _lift(wide, -2010, lift, -2000) == _lift(narrow, -2000, lift, -2000)
+
+
+def _assert_same(value, expected):
+    assert repr(value) == repr(expected)
+    assert hash(value) == hash(expected)
+    if isinstance(value, (Hybrid, Quaternion, HybridQuaternion)):
+        assert value._den > 0 and gcd(value._den, *value._num) == 1
+
+
+def _fraction_lifts(terms):
+    """Each lift of w_n .. w_{n+6}, built from Fractions by the public constructors."""
+    return {
+        "scalar": terms[0],
+        "hybrid": Hybrid(*terms[:4]),
+        "quaternion": Quaternion(*terms[:4]),
+        "hybrid-quaternion": HybridQuaternion([terms[s + t] for s in range(4) for t in range(4)]),
+    }
+
+
+# p = P/c and q = Q/c whose P, Q and c carry odd primes, of either sign: c > 1
+# scales the walked ints, and Q < 0 with an odd negative start puts the
+# jump's denominator d*Q^k below 0
+@hypothesis.example(Fraction(1, 3), 2, Fraction(-6), Fraction(-3, 2), -7, 16)
+@hypothesis.example(Fraction(-2, 5), 1, Fraction(1, 2), Fraction(-6), -1, 1)
+@hypothesis.example(Fraction(1, 3), 2, Fraction(1, 2), Fraction(-3, 2), -4099, 2)
+@hypothesis.example(Fraction(1, 3), 2, Fraction(-3, 2), Fraction(9, 4), 4100, 2)
+@hypothesis.settings(deadline=None)
+@hypothesis.given(
+    WINDOW_RATIONALS,
+    WINDOW_RATIONALS,
+    st.sampled_from([Fraction(1, 2), Fraction(-3, 2), Fraction(-6)]),
+    st.sampled_from([Fraction(-3, 2), Fraction(9, 4), Fraction(-6)]),
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=1, max_value=16),
+)
+def test_int_built_lifts_match_a_fraction_recurrence(w0, w1, p, q, lo, width):
+    params = HoradamParams(w0, w1, p, q)
+    hi = lo + width - 1
+    # w_{lo-2} .. w_{hi+6}: the audit's walk from lo - 2 and each lift at hi
+    w = _stepwise_window(params, lo - 2, hi + 6)
+    terms = window(params, lo, hi)
+    assert len(terms) == width
+    for value, expected in zip(terms, w[2:]):
+        _assert_same(value, expected)
+    for n in range(lo, hi + 1):
+        _assert_same(horadam(params, n), w[n - lo + 2])
+    points = {
+        "hybrid": lift_hybrid,
+        "quaternion": lift_quaternion,
+        "hybrid-quaternion": lift_hybrid_quaternion,
+    }
+    for n in {lo, hi}:
+        expected = _fraction_lifts(w[n - lo + 2 : n - lo + 9])
+        for lift, point in points.items():
+            _assert_same(point(params, n), expected[lift])
+    # the audit's lifts at lo - 2 .. lo read one walk of w_{lo-2} .. w_{lo+9}
+    scans = _Scans((lo, lo))
+    for n in range(lo - 2, lo + 1):
+        expected = _fraction_lifts(w[n - lo + 2 : n - lo + 9])
+        for lift in LIFTS:
+            _assert_same(scans.lift(params, lift)(n), expected[lift])
 
 
 # (lift, n) -> the (type name, repr) of the Lucas lift at n by recurrence
