@@ -113,7 +113,10 @@ class Element:
 
     @classmethod
     def from_scalar(cls, s):
-        return cls._from_values((s,) + (0,) * (len(cls._FIELDS) - 1))
+        zeros = (0,) * (len(cls._FIELDS) - 1)
+        if isinstance(s, (int, Fraction)):  # in lowest terms already
+            return cls._new((s.numerator, *zeros), s.denominator)
+        return cls._from_values((s, *zeros))
 
     def _coeff(self, index: int):
         value = self._num[index]
@@ -212,9 +215,20 @@ class Element:
             return NotImplemented
         if self._den and other._den:
             return self._den == other._den and self._num == other._num
-        if self._den:  # QuadExt cells on the left, where QuadExt.__eq__ reads a Fraction
+        if self._den:  # the rational value on the right
             self, other = other, self
-        return self.components() == other.components()
+        if not other._den:
+            return self._num == other._num  # QuadExt.__eq__ reads every pair
+        # each cell against its int numerator over other._den, no Fraction built
+        den = other._den
+        for v, n in zip(self._num, other._num):
+            if isinstance(v, QuadExt):
+                if v.surd_part:
+                    return False
+                v = v.rat_part
+            if v.numerator * den != n * v.denominator:
+                return False
+        return True
 
     def __hash__(self):
         return hash(self.components())

@@ -30,17 +30,23 @@ span: agreement there certifies the whole span, and a disagreement there
 is already the smallest failing index.  One method, ``_Identity.report``,
 evaluates a check: it builds the closed form, scans and makes the witness.
 
-A claim whose right-hand side cannot even be evaluated (rational roots
-where a surd is required, or two incompatible surds in one expression)
-is reported as UNEVALUABLE with the offending error rather than as a
-verdict either way.
+A linear check of Thm 3.1-3.3 is a row of data that ``_linear`` reads: a
+chain of sides, each a list of terms (c, seq, lift, k[, op]).  A term is
+c * op(E(lift of seq at n + k)), where E embeds a scalar, hybrid or
+quaternion lift (``HybridQuaternion.from_<lift>``) and op, if given, is a
+unit multiplying from the left or one of the three conjugations.
+
+A claim whose right-hand side cannot be evaluated (rational roots where a
+surd is required, or two incompatible surds in one expression) is reported
+as UNEVALUABLE with the offending error, not as a verdict either way.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from operator import add, mul
 
 from .errors import MixedDiscriminant, RationalRoots, RepeatedRoot
 from .hybrid_quaternion import HYBRID_UNITS, QUAT_UNITS, HybridQuaternion
@@ -101,15 +107,6 @@ def reports_to_json(reports) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2)
 
 
-def _validate_span(span) -> tuple:
-    lo, hi = span
-    if not all(isinstance(b, int) and not isinstance(b, bool) for b in (lo, hi)):
-        raise TypeError("span bounds must be integers")
-    if lo > hi:
-        raise ValueError(f"empty span [{lo}, {hi}]")
-    return lo, hi
-
-
 class _Scans:
     """State of one audit call over one span.
 
@@ -122,14 +119,18 @@ class _Scans:
     """
 
     def __init__(self, span):
-        self.span = lo, hi = _validate_span(span)
+        self.span = lo, hi = span
+        if not all(isinstance(b, int) and not isinstance(b, bool) for b in span):
+            raise TypeError("span bounds must be integers")
+        if lo > hi:
+            raise ValueError(f"empty span [{lo}, {hi}]")
         self.last = min(hi, lo + max(ident.order for ident in CATALOG.values()) - 1)
         self._terms = {}
 
     def lift(self, seq, lift: str):
-        if seq not in self._terms:
-            self._terms[seq] = _walk(seq, self.span[0] - 2, self.last + 9)
-        return partial(_lift, self._terms[seq], self.span[0] - 2, lift)
+        lo = self.span[0] - 2
+        walk = self._terms.get(seq) or self._terms.setdefault(seq, _walk(seq, lo, self.last + 9))
+        return partial(_lift, walk, lo, lift)
 
 
 # -- Binet forms ------------------------------------------------------------
@@ -160,89 +161,39 @@ def _binet(seq, weight=None):
     return prepare
 
 
-# -- Fibonacci hybrid quaternion relations ----------------------------------
+# -- linear relations -----------------------------------------------------------
 
-_QUAT_UNITS = tuple(HybridQuaternion.unit(u, "1") for u in QUAT_UNITS[1:])
-_HYBRID_UNITS = tuple(HybridQuaternion.unit("1", v) for v in HYBRID_UNITS[1:])
-
-
-def _combination(hat, n: int, units) -> HybridQuaternion:
-    # hat(F)_n - u1 hat(F)_{n+1} - u2 hat(F)_{n+2} - u3 hat(F)_{n+3},
-    # the unit factors multiplying from the left
-    acc = hat(n)
-    for k, u in enumerate(units, start=1):
-        acc = acc - u * hat(n + k)
-    return acc
+_EMBED = {"scalar": HybridQuaternion.from_scalar, "hybrid": HybridQuaternion.from_hybrid,
+          "quaternion": HybridQuaternion.from_quaternion}
 
 
-def _sum_recurrence(s):
-    hat = s.lift(FIBONACCI, "hybrid-quaternion")
-    return lambda n: [hat(n) + hat(n + 1), hat(n + 2)]
+def _linear(*sides):
+    """prepare(scans) for a row side_1 = side_2 = ... (module docstring).  A side
+    sums its terms of one (seq, lift) in that lift's own algebra, c = 1 and -1
+    as an add and a subtract, and embeds that sum once."""
+    index, grouped = {}, []  # (seq, lift) -> its lift's position; per side, its groups
+    for side in sides:
+        groups = {}
+        for c, seq, lift, k, *op in side:
+            i = index.setdefault((seq, lift), len(index))
+            group = groups.setdefault(i, (i, _EMBED.get(lift), []))
+            group[2].append((c, k, op[0] if op else None))
+        grouped.append(groups.values())
 
+    def prepare(s):
+        at = [s.lift(seq, lift) for seq, lift in index]
 
-def _quaternion_combination(s):
-    hat, fib = s.lift(FIBONACCI, "hybrid-quaternion"), s.lift(FIBONACCI, "hybrid")
-    luc = s.lift(LUCAS, "hybrid")
-    return lambda n: [
-        _combination(hat, n, _QUAT_UNITS),
-        HybridQuaternion.from_hybrid(fib(n) + fib(n + 2) + fib(n + 4) + fib(n + 6)),
-        HybridQuaternion.from_hybrid(luc(n + 1) + luc(n + 5)),
-    ]
+        def summed(i, embed, terms, n):
+            acc, lift = None, at[i]
+            for c, k, op in terms:
+                v = op(lift(n + k)) if op else lift(n + k)
+                v = v if c in (1, -1) else abs(c) * v
+                acc = (v if c > 0 else -v) if acc is None else (acc + v if c > 0 else acc - v)
+            return embed(acc) if embed else acc
 
+        return lambda n: [reduce(add, [summed(*g, n) for g in groups]) for groups in grouped]
 
-def _hybrid_combination(s):
-    hat, tilde = s.lift(FIBONACCI, "hybrid-quaternion"), s.lift(FIBONACCI, "quaternion")
-    return lambda n: [
-        _combination(hat, n, _HYBRID_UNITS),
-        HybridQuaternion.from_quaternion(tilde(n) - tilde(n + 2) - 2 * tilde(n + 3) + tilde(n + 6)),
-    ]
-
-
-def _lucas_sum(s):
-    hat, lucas_hat = s.lift(FIBONACCI, "hybrid-quaternion"), s.lift(LUCAS, "hybrid-quaternion")
-    return lambda n: [hat(n - 1) + hat(n + 1), lucas_hat(n)]
-
-
-def _lucas_difference(s):
-    hat, lucas_hat = s.lift(FIBONACCI, "hybrid-quaternion"), s.lift(LUCAS, "hybrid-quaternion")
-    return lambda n: [hat(n + 2) - hat(n - 2), lucas_hat(n)]
-
-
-# -- conjugate sums -----------------------------------------------------------
-
-
-def _quaternion_conjugate(s):
-    hat, fib = s.lift(FIBONACCI, "hybrid-quaternion"), s.lift(FIBONACCI, "hybrid")
-    return lambda n: [hat(n) + hat(n).conj_quaternion(), HybridQuaternion.from_hybrid(fib(n)) * 2]
-
-
-def _hybrid_conjugate(s):
-    hat, tilde = s.lift(FIBONACCI, "hybrid-quaternion"), s.lift(FIBONACCI, "quaternion")
-    return lambda n: [
-        hat(n) + hat(n).conj_hybrid(),
-        HybridQuaternion.from_quaternion(tilde(n)) * 2,
-    ]
-
-
-def _scalar_tail(term, n: int) -> HybridQuaternion:
-    return HybridQuaternion.from_scalar(-2 * term(n) - 8 * term(n + 1))
-
-
-def _total_conjugate_hat(s):
-    hat, term = s.lift(FIBONACCI, "hybrid-quaternion"), s.lift(FIBONACCI, "scalar")
-    return lambda n: [
-        hat(n) + hat(n).conj_total(),
-        _scalar_tail(term, n) + 2 * (hat(n + 1) + hat(n + 2) + hat(n + 3)),
-    ]
-
-
-def _total_conjugate_breve(s):
-    hat, term = s.lift(FIBONACCI, "hybrid-quaternion"), s.lift(FIBONACCI, "scalar")
-    fib = s.lift(FIBONACCI, "hybrid")
-    return lambda n: [
-        hat(n) + hat(n).conj_total(),
-        _scalar_tail(term, n) + 2 * HybridQuaternion.from_hybrid(fib(n + 1) + fib(n + 2) + fib(n + 3)),
-    ]
+    return prepare
 
 
 # -- Cassini ------------------------------------------------------------------
@@ -321,20 +272,39 @@ _LINEAR = 2
 # span{alpha^2n, (alpha beta)^n, beta^2n}; the right side is (-1)^n times a
 # constant, and (alpha beta)^n = q^n = (-1)^n: order 3.
 _CASSINI = 3
+# Both orders rest on q != 0 for every sequence a check reads: then w_n is
+# defined on all of Z, the recurrence runs both ways, and alpha, beta are nonzero.
+
+# the rows of Thm 3.1-3.3 (module docstring): id -> its sides
+_F, _L, _HQ = FIBONACCI, LUCAS, "hybrid-quaternion"
+_I, _J, _K = (partial(mul, HybridQuaternion.unit(u, "1")) for u in QUAT_UNITS[1:])
+_HI, _EPS, _HH = (partial(mul, HybridQuaternion.unit("1", v)) for v in HYBRID_UNITS[1:])
+_CQ, _CH = HybridQuaternion.conj_quaternion, HybridQuaternion.conj_hybrid
+_TOTAL = [(1, _F, _HQ, 0), (1, _F, _HQ, 0, HybridQuaternion.conj_total)]
+_TAIL = [(-2, _F, "scalar", 0), (-8, _F, "scalar", 1)]  # Thm 3.3.iii: -2F_n - 8F_{n+1}
+_ROWS = {
+    "Thm3.1.i": ([(1, _F, _HQ, 0), (1, _F, _HQ, 1)], [(1, _F, _HQ, 2)]),
+    "Thm3.1.ii": (
+        [(1, _F, _HQ, 0), (-1, _F, _HQ, 1, _I), (-1, _F, _HQ, 2, _J), (-1, _F, _HQ, 3, _K)],
+        [(1, _F, "hybrid", k) for k in (0, 2, 4, 6)], [(1, _L, "hybrid", k) for k in (1, 5)],
+    ),
+    "Thm3.1.iii": (
+        [(1, _F, _HQ, 0), (-1, _F, _HQ, 1, _HI), (-1, _F, _HQ, 2, _EPS), (-1, _F, _HQ, 3, _HH)],
+        [(c, _F, "quaternion", k) for c, k in ((1, 0), (-1, 2), (-2, 3), (1, 6))],
+    ),
+    "Thm3.2.i": ([(1, _F, _HQ, -1), (1, _F, _HQ, 1)], [(1, _L, _HQ, 0)]),
+    "Thm3.2.ii": ([(1, _F, _HQ, 2), (-1, _F, _HQ, -2)], [(1, _L, _HQ, 0)]),
+    "Thm3.3.i": ([(1, _F, _HQ, 0), (1, _F, _HQ, 0, _CQ)], [(2, _F, "hybrid", 0)]),
+    "Thm3.3.ii": ([(1, _F, _HQ, 0), (1, _F, _HQ, 0, _CH)], [(2, _F, "quaternion", 0)]),
+    "Thm3.3.iii-hat": (_TOTAL, [*_TAIL, *((2, _F, _HQ, k) for k in (1, 2, 3))]),
+    "Thm3.3.iii-breve": (_TOTAL, [*_TAIL, *((2, _F, "hybrid", k) for k in (1, 2, 3))]),
+}
 
 CATALOG = {
     ident.identity_id: ident
     for ident in (
         _Identity("Thm2.1", _LINEAR, *((seq, _binet(seq)) for seq in AUDIT_SEQUENCES)),
-        _Identity("Thm3.1.i", _LINEAR, (FIBONACCI, _sum_recurrence)),
-        _Identity("Thm3.1.ii", _LINEAR, (FIBONACCI, _quaternion_combination)),
-        _Identity("Thm3.1.iii", _LINEAR, (FIBONACCI, _hybrid_combination)),
-        _Identity("Thm3.2.i", _LINEAR, (FIBONACCI, _lucas_sum)),
-        _Identity("Thm3.2.ii", _LINEAR, (FIBONACCI, _lucas_difference)),
-        _Identity("Thm3.3.i", _LINEAR, (FIBONACCI, _quaternion_conjugate)),
-        _Identity("Thm3.3.ii", _LINEAR, (FIBONACCI, _hybrid_conjugate)),
-        _Identity("Thm3.3.iii-hat", _LINEAR, (FIBONACCI, _total_conjugate_hat)),
-        _Identity("Thm3.3.iii-breve", _LINEAR, (FIBONACCI, _total_conjugate_breve)),
+        *(_Identity(key, _LINEAR, (_F, _linear(*sides))) for key, sides in _ROWS.items()),
         # the printed Binet displays; A = 1/(alpha - beta), B = conj(A) = -A in i
         # and A = B = 1 in ii:
         # i:  hat(F)_n = (alpha_star alpha_under alpha^n - beta_star beta_under beta^n) / (alpha - beta)

@@ -109,12 +109,14 @@ class HybridQuaternion(Element):
     @classmethod
     def from_hybrid(cls, z: Hybrid) -> "HybridQuaternion":
         """Embed z on the quaternion-scalar row: 1 x z."""
-        return cls(z.components() + (0,) * 12)
+        num = z._num + (0,) * 12
+        return cls._new(num, z._den) if z._den else cls(num)
 
     @classmethod
     def from_quaternion(cls, q: Quaternion) -> "HybridQuaternion":
         """Embed q on the hybrid-scalar column: q x 1."""
-        return cls.from_hybrid_basis(q, *(Quaternion.zero(),) * 3)
+        num = tuple(v for c in q._num for v in (c, 0, 0, 0))
+        return cls._new(num, q._den) if q._den else cls(num)
 
     @classmethod
     def from_quaternion_basis(cls, h0: Hybrid, h1: Hybrid, h2: Hybrid, h3: Hybrid):

@@ -5,6 +5,7 @@ at small indices with the unit tables before the auditor existed; the
 auditor must reproduce them exactly.
 """
 
+import hashlib
 import json
 
 import hypothesis
@@ -43,6 +44,7 @@ from hybridquat.sequences import (
     MERSENNE,
     BinetData,
     HoradamParams,
+    _params,
     binet_data,
     horadam,
 )
@@ -590,6 +592,26 @@ def test_declared_order_bounds_every_side(key, monkeypatch):
     assert checked or key == "C2@x^2-2x-1"
 
 
+def test_every_sequence_a_check_names_or_reads_has_nonzero_q(monkeypatch):
+    """The other premise of the certificate: with q != 0 every term w_n is
+    defined on all of Z and the recurrence runs both ways.  This covers the
+    sequence each check is reported under and every sequence its sides read,
+    such as the Lucas lifts in the Fibonacci rows of Thm 3.1.ii and 3.2."""
+    read = []
+    real = _Scans.lift
+
+    def recorded(scans, seq, lift):
+        read.append(seq)
+        return real(scans, seq, lift)
+
+    monkeypatch.setattr(_Scans, "lift", recorded)
+    audit_all(DEFAULT_SPAN)
+    named = [seq for ident in CATALOG.values() for seq, _ in ident.checks]
+    assert LUCAS in read and len(named) == 25
+    for seq in named + read:
+        assert _params(seq).q != 0, seq
+
+
 @hypothesis.settings(deadline=None, max_examples=15)
 @hypothesis.given(st.integers(-40, 40), st.integers(0, 12))
 def test_certified_reports_equal_a_full_scan(lo, length):
@@ -677,3 +699,99 @@ def test_report_repr_hash_and_tuple_equality():
     assert report == ("Thm3.1.iii", FIBONACCI, (0, 3), "REFUTED", None, failure)
     verified = IdentityReport("x", FIBONACCI, (0, 1), "VERIFIED")
     assert verified == ("x", FIBONACCI, (0, 1), "VERIFIED", None, None)
+
+
+# -- byte-identical reports -----------------------------------------------------
+
+# SHA-256 of reports_to_json, for audit_all ("all") and for each CATALOG[id],
+# recorded before the linear checks became rows: however the sides are
+# formed, the verdicts and witnesses must print the same, byte for byte
+REPORT_SHA256 = {
+    (1000, 1010): {
+        "all": "5094250d2bc92386189dc3783e550e70535f3048b133522eab2182c82fb635a0",
+        "Thm2.1": "120f526da39bdf94c1fa6c436589faad12ee05534acef0c10e6120299a7eff1a",
+        "Thm3.1.i": "c8721abed4403228bd940fb77cf8213199a9054d1acfdfdb789cb89096fb39f8",
+        "Thm3.1.ii": "528fe8d0ef664eb43254f18e3f636e2d1f76e114682720e793185c9d810b5039",
+        "Thm3.1.iii": "d6edcc68e5e2bfb8910768bb65db583d167b26a206d27b4cbd545f41e23bb78f",
+        "Thm3.2.i": "9198008c154d88222e2fa2dd22e421f93123aabfedf93d426082d586441a9b0b",
+        "Thm3.2.ii": "d5c167c08a30640597fcaddb72ea3fcfd69cacb5364c5e595ca9d629cae23882",
+        "Thm3.3.i": "6f003c08116cb4c4b7a94ed056be840203401b6d13db8d0430bc29534dd43b66",
+        "Thm3.3.ii": "c7147856ceb6b2f98facdbfcdac72e5aa79228772c5ed8d1c52e5c314959f903",
+        "Thm3.3.iii-hat": "ff24118fbbc29933e1a4e568930a87d91a357ded96290e6f2ab6927c691eee6d",
+        "Thm3.3.iii-breve": "2c469ece5e1bf2e0f48cb46ebb88adf7ec7c271759e68f7b49658ba78aecbb33",
+        "Thm3.4.i": "3efd11dda5a2af54d30851b7cc76715093c5b87e78d2dceb06421f42a31bd7ab",
+        "Thm3.4.ii": "c544111ccfa105ef4bc54201f49509b489d87e6acfaa1e9ccb2e6c9ff5a1d2bc",
+        "C1@x^2-x-1": "0646ba7913f14b14b7c7802ee3c0b5890362737df9cc2d2593554d61d2908092",
+        "C2@x^2-x-1": "77364d0d62199c574d6784fd7954122e41e695b2f0fc2a8797711a3a865e91d2",
+        "C1@x^2-2x-1": "ded6804ac3233c5c4529cf6b5b956e38407b8e4a135438a39ed9832d8b8d1ca4",
+        "C2@x^2-2x-1": "c09ab96fa7cbef946612f3c4b3c20744204773685cf4666010e14a160f9e968c",
+    },
+    (-200, -190): {
+        "all": "98ee2f639035d86b93a7223a261764b7eef5ec7c43070f386b6eb1b18913be92",
+        "Thm2.1": "b3682717fb0465a0759e872b5fb4bac428f63b0ab8031be85049c5e095918af3",
+        "Thm3.1.i": "dc3a632a6cbfbdab4bf297358ca9912c7379be0e7a962e17def53aa72ce7ba2c",
+        "Thm3.1.ii": "c10a1224e2e33bc780e8e585e8fa802c2bdf16252952d39122c9e46f8563893f",
+        "Thm3.1.iii": "b87aa26c9dff78753c495b76ecf312fa86f33b0a53a92c88cad16795d39b2829",
+        "Thm3.2.i": "a427dac7cd2c04d700ce93e6d0d43bc2eb9c96f388523dac150960c724d3f520",
+        "Thm3.2.ii": "df23ce0e7649c2e650fa8d0c23dd75a3582e1abe5f81c93d221f802ae9d570d0",
+        "Thm3.3.i": "d4c8ec2f1a1f53aad0f7f5530e56629967da977ea0d388a256eb591d2ea0cfcc",
+        "Thm3.3.ii": "bd52336d81be92904a0b40acf3dc452f4e146c1d3a3bb688182c428b50e0733e",
+        "Thm3.3.iii-hat": "e9750375a103fdf6677db1a87551c615c96894b065aef8d408669e012cc9e416",
+        "Thm3.3.iii-breve": "9709a37d4bbde8efb7ee9c738fe17c86e815f2453dc04e22eb9279bf99e31a0e",
+        "Thm3.4.i": "b05e9f89af22b1df0e35db6c89ba3a986c3871f5d3ddf98156ef4a56e5f2a440",
+        "Thm3.4.ii": "b66cdfaefd73d121fd2ffc0b6f885050eb807de44d9ab3c5756906c584769557",
+        "C1@x^2-x-1": "019288e416a28092a91892347fd01fe1ff7cb0e1fef1e0fe2023220ab81bf6bf",
+        "C2@x^2-x-1": "56d544dddb02f25f65ef873e9732fde11858acab921c3a608af707dd6a84101a",
+        "C1@x^2-2x-1": "4d7f8cad78098df3caeae1bd244d14d7f0c8add20bd03c74f4debb23520b51fe",
+        "C2@x^2-2x-1": "5e24792b8448d6cfc9e06c80bcd24f636820f60080d0e6d560bcec21c5dede7e",
+    },
+    (-3, -1): {
+        "all": "897286bc115e302018e523cc04054f800572c9c452a9fd464c1d754c62e95f0a",
+        "Thm2.1": "4c4cd4131e08603c5b0bd6aae51fa4db1c071036b0e784945d940ff7d8cda13b",
+        "Thm3.1.i": "98a7aae8758c0f8fb6e7b2966e61203b8d6d57b430c1a1ff5a59a2ade1dfe203",
+        "Thm3.1.ii": "f3f4f27cc1e125117526d31239097f121b6cbb45e0df2edc329f7c8794bc46cf",
+        "Thm3.1.iii": "7b2aeee2f57b8efc6d600c29e7d8ae5d04e12a57ca3757dbbb982108daeb88b6",
+        "Thm3.2.i": "89c5e6d368d65925555eac89fc5285703dd9da6442c94a51003702bed162b07f",
+        "Thm3.2.ii": "50774555179236758d846bbd26bd3351bf5cdc737e2032ff6bd0fe170741c6c1",
+        "Thm3.3.i": "481d8ff3da1cbed4a483575bb79db8cec44d74e0a7201acb6fa1ec81d1538cc4",
+        "Thm3.3.ii": "b379a53e8425a768f01f828292cb28792f91e521b22fce402959cd20a77274d7",
+        "Thm3.3.iii-hat": "648d95d4a0a2bddc4d0df8975e753c8c370e7f4550ec2da11c6a793f7b31797f",
+        "Thm3.3.iii-breve": "e0f0dc1c4b89665ffa3ee6c7819b0fa1d784b37ca7561add25962b59038583a3",
+        "Thm3.4.i": "5496e2d08fec8e9b5fe27dcb73e433516f91da0fecc2e6d00036089e0ba578d3",
+        "Thm3.4.ii": "accc014df8934d8517e44049587349404cdcc4eb824e823491c175c5dd16fc1f",
+        "C1@x^2-x-1": "9140917a7b76e5be59ee8fd4ce31ebc6fa5782232bcfdca63c26292f8425a353",
+        "C2@x^2-x-1": "c2c20cd8e030c024576767673f0222f3f2b6496cc0a7cae39822c7418d7ed7c2",
+        "C1@x^2-2x-1": "fda5ac890749131f5030baa833d1132e3f6f9dbbaf6ea6417b0a46dd2887e453",
+        "C2@x^2-2x-1": "fc9791c6dec7158566fd426cfffbec58120196b5807a8dc6f56359b2d7188941",
+    },
+    (100000, 100002): {
+        "all": "b6c1214b19add5b826d370e0cb233aca80565b64ba86f0164f389c568e3b0072",
+        "Thm2.1": "6b026ac5e5f6eb8705e6c55770777c7b8ec165391751ebc18720bd19cea9ccc2",
+        "Thm3.1.i": "de93dd72c12efd4b4c7aed8f9414b48dde7e91315eb5a377e76adc10a60cfe00",
+        "Thm3.1.ii": "88561e404dcd2e084a6dbe30b97eb0a5757c2dd8d00c858a99b8bee3528a13c9",
+        "Thm3.1.iii": "5cd869136f0af23d0bfe66c597fea8711ab26db1b8c59cc22c526fa224660ea8",
+        "Thm3.2.i": "b68d7579861394094d2d0f9a34f8bbc65bbb1dbb0f675bf5d62289fc5878de49",
+        "Thm3.2.ii": "ed9cc5c33cd20b8c7ca0a7df7c7d028f007a0f8290001983482a26eab0257cf8",
+        "Thm3.3.i": "21b15e32a01e95f86abc20db0a1db1dd2306691fd08f0897151c50328c47d232",
+        "Thm3.3.ii": "599e1e50e5f4f2def04d5a36f48194163500db115d3cb358351253604b9888d9",
+        "Thm3.3.iii-hat": "6001c058ac6e26f8d9fe9bba296d9c3072972e9594ce1aa2edfe508a1169e70b",
+        "Thm3.3.iii-breve": "8c16a3ff0b04dd90e6ac5f4d8c816a96583e3008fecad148412385a17be22df2",
+        "Thm3.4.i": "fdbbcd0e07e6e5c61a1fa0c638920d59aee446a1f58cae0cb1c8f87960196f29",
+        "Thm3.4.ii": "6d699c631efd3b47ff4687b5d9badde7ccca2e3ec55765311f040f588bca9c53",
+        "C1@x^2-x-1": "af097aa7baf858ce43fd0f826139d03c8091af2f62aa5ab9481d13f0424e2e56",
+        "C2@x^2-x-1": "2ad5b4251c3b5477c89d9e48cb52f2198357a25c03a6e9fe83a39f055cf6d2cf",
+        "C1@x^2-2x-1": "39ed9378ce21c444ec1b2277bd0266d5e9f14e5ff3e22df2da41212a575fb829",
+        "C2@x^2-2x-1": "b95c2417f57b319eb3917c6ab09c3cd2f122de5884204f1b4e6dfac98554f499",
+    },
+}
+
+
+@pytest.mark.parametrize("span", list(REPORT_SHA256))
+def test_reports_are_byte_identical_to_the_recorded_ones(span):
+    def sha(reports):
+        return hashlib.sha256(reports_to_json(reports).encode()).hexdigest()
+
+    assert list(REPORT_SHA256[span]) == ["all", *CATALOG]
+    got = {"all": sha(audit_all(span))}
+    got.update((key, sha(ident(span))) for key, ident in CATALOG.items())
+    assert got == REPORT_SHA256[span]

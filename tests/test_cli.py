@@ -335,6 +335,19 @@ def test_audit_single_identity_verified(cli):
     assert report["range"] == [-10, 30]
 
 
+# exit code and stdout of ``audit --identity <id>`` at the default span for
+# every catalog id, as recorded for the benchmark's byte-for-byte oracle
+AUDIT_GOLDENS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json").read_text()
+)["audit"]
+
+
+@pytest.mark.parametrize("identity", list(AUDIT_GOLDENS))
+def test_audit_output_matches_the_recorded_golden_byte_for_byte(cli, identity):
+    code, out, _ = cli(["audit", "--identity", identity])
+    assert [code, out] == AUDIT_GOLDENS[identity]
+
+
 def test_audit_refuted_identity_exits_one(cli):
     code, out, _ = cli(["audit", "--identity", "Thm3.1.iii", "--from", "0", "--to", "5"])
     assert code == 1

@@ -417,6 +417,40 @@ def test_one_surd_cell_makes_a_rational_value_unequal(k):
         assert (x == other, other == x, x != other, other != x) == (False, False, True, True)
 
 
+def test_a_rational_value_meets_quadext_cells_by_cross_multiplying():
+    # the rational side is ints over one denominator (here 6); the other side
+    # mixes Fraction and surd-free QuadExt cells over their own denominators
+    x = HybridQuaternion((Fraction(1, 2), Fraction(-1, 3)) + (0,) * 14)
+    assert x._den == 6
+    same = HybridQuaternion((Fraction(1, 2), QuadExt(Fraction(-1, 3), 0, 5)) + (0,) * 14)
+    # numerators 3 and -2 equal x's ints, but over denominators 1 and 1, not 6
+    ints = HybridQuaternion((QuadExt(3, 0, 5), Fraction(-2)) + (0,) * 14)
+    surd = HybridQuaternion((QuadExt(Fraction(1, 2), 1, 5), Fraction(-1, 3)) + (0,) * 14)
+    zero_last = HybridQuaternion(same.coeffs[:15] + (QuadExt(0, 0, 5),))
+    for other, equal in ((same, True), (zero_last, True), (ints, False), (surd, False)):
+        assert other._den is None
+        assert (x == other, other == x) == (equal, equal)
+        assert (x != other, other != x) == (not equal, not equal)
+        if equal:
+            assert hash(x) == hash(other)
+
+
+def test_embeddings_build_the_constructors_storage():
+    # the int-level embeddings give the very storage the 16-coefficient
+    # constructor does, for rational and Q(sqrt 5) values alike
+    q = QuadExt(1, 2, 5)
+    zero = Fraction(0)
+    for s in (0, -3, Fraction(6, 4), True, q, QuadExt(2, 0, 5)):
+        got, want = HybridQuaternion.from_scalar(s), HybridQuaternion((s,) + (0,) * 15)
+        assert (got._num, got._den, repr(got)) == (want._num, want._den, repr(want)), s
+    for c in ((2, -4, 6, 8), (Fraction(1, 2), 0, Fraction(-3, 4), 5), (q, 0, zero, 1)):
+        got, want = HybridQuaternion.from_hybrid(Hybrid(*c)), HybridQuaternion(c + (0,) * 12)
+        assert (got._num, got._den, repr(got)) == (want._num, want._den, repr(want)), c
+        got = HybridQuaternion.from_quaternion(Quaternion(*c))
+        want = HybridQuaternion(tuple(v for a in c for v in (a, 0, 0, 0)))
+        assert (got._num, got._den, repr(got)) == (want._num, want._den, repr(want)), c
+
+
 # -- decompositions --------------------------------------------------------
 
 
