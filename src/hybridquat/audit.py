@@ -217,9 +217,11 @@ def _cassini_side(seq, p, q):
 
 def _cassini(seq, p, q):
     def prepare(s):
-        scaled = _cassini_side(seq, p, q)
-        hat = s.lift(seq, "hybrid-quaternion")
-        return lambda n: [hat(n + 1) * hat(n - 1) - hat(n) * hat(n), -scaled if n % 2 else scaled]
+        side = _cassini_side(seq, p, q)
+        if not any(v.surd_part for v in side.components()):  # compare it as ints
+            side = HybridQuaternion([v.rat_part for v in side.components()])
+        signed, hat = (side, -side), s.lift(seq, "hybrid-quaternion")
+        return lambda n: [hat(n + 1) * hat(n - 1) - hat(n) * hat(n), signed[n % 2]]
 
     return prepare
 

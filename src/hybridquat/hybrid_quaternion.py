@@ -12,7 +12,9 @@ the real 2x2 matrices [[0, 1], [-1, 0]], [[1, -1], [1, -1]] and
 a hybrid quaternion is a 2x2 matrix of quaternions, M2(H), and a dense
 product is 8 Hamilton products: 128 scalar multiplies, where the table
 loop of ``algebra.Element`` over the tensor product of the two unit
-tables takes up to 256; it serves sparse operands.  Storage is Element's.
+tables takes up to 256; it serves sparse operands.  One kernel serves ints
+and scalars: each block of the matrix product is two Hamilton products
+summed in one expression per coefficient (``_hamilton2``).  Storage is Element's.
 The two 4-coefficient presentations (hybrid coefficients of 1, i, j, k
 and quaternion coefficients of 1, hi, eps, hh) view the same values.
 """
@@ -20,7 +22,6 @@ and quaternion coefficients of 1, hi, eps, hh) view the same values.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
 
 from .algebra import Element
 from .hybrid import Hybrid
@@ -43,23 +44,25 @@ def _unit_index(u: str, v: str, where: str = "") -> int:
     return CANONICAL_PAIRS.index((u, v))
 
 
-def _hamilton(p, q) -> tuple:
-    """The Hamilton product of two quaternion coefficient 4-tuples."""
-    (p0, p1, p2, p3), (q0, q1, q2, q3) = p, q
+def _hamilton2(p, q, r, s) -> tuple:
+    """p*q + r*s for quaternion coefficient 4-tuples: two Hamilton products, summed."""
+    (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = p, q, r, s
     return (
-        p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
-        p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
-        p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
-        p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
+        p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3 + r0 * s0 - r1 * s1 - r2 * s2 - r3 * s3,
+        p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2 + r0 * s1 + r1 * s0 + r2 * s3 - r3 * s2,
+        p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1 + r0 * s2 - r1 * s3 + r2 * s0 + r3 * s1,
+        p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0 + r0 * s3 + r1 * s2 - r2 * s1 + r3 * s0,
     )
 
 
 def _matrix(x) -> tuple:
     """m00, m01, m10, m11 of x in M2(H): a + c, b - c + d, c + d - b and
     a - c for a, b, c, d the quaternion coefficients of 1, hi, eps, hh."""
-    a, b, c, d = x[0::4], x[1::4], x[2::4], x[3::4]
-    return (tuple(map(add, a, c)), tuple(map(add, map(sub, b, c), d)),
-            tuple(map(sub, map(add, c, d), b)), tuple(map(sub, a, c)))
+    a0, b0, c0, d0, a1, b1, c1, d1, a2, b2, c2, d2, a3, b3, c3, d3 = x
+    return ((a0 + c0, a1 + c1, a2 + c2, a3 + c3),
+            (b0 - c0 + d0, b1 - c1 + d1, b2 - c2 + d2, b3 - c3 + d3),
+            (c0 + d0 - b0, c1 + d1 - b1, c2 + d2 - b2, c3 + d3 - b3),
+            (a0 - c0, a1 - c1, a2 - c2, a3 - c3))
 
 
 class HybridQuaternion(Element):
@@ -82,9 +85,11 @@ class HybridQuaternion(Element):
     def _product(self, x, y) -> tuple:
         """Coefficients of x*y over ints or over scalars (never an int): x[0] tells.
 
-        The table loop takes ints with at most 32 nonzero pairs, where it is
-        faster (a unit has 16), and scalars unless all are nonzero QuadExts of
-        one D, so a Fraction stays where no surd pair reaches (not 0*sqrt(D))."""
+        The table loop takes ints with at most 32 nonzero pairs (a unit has 16):
+        for ints in +-1000 it takes 3.2-4.1 us at 16 pairs, 5.7-7.4 at 32 and
+        7.8-8.4 at 48, against the kernel's 6.1-6.9, so they cross at 32-48 pairs.
+        It takes scalars unless all are nonzero QuadExts of one D, so a Fraction
+        stays where no surd pair reaches (not 0*sqrt(D))."""
         ints = x[0].__class__ is int
         if ints:
             dense = (16 - x.count(0)) * (16 - y.count(0)) > 32
@@ -94,14 +99,14 @@ class HybridQuaternion(Element):
         if not dense:
             return super()._product(x, y)
         (x00, x01, x10, x11), (y00, y01, y10, y11) = _matrix(x), _matrix(y)
-        z00 = tuple(map(add, _hamilton(x00, y00), _hamilton(x01, y10)))
-        z01 = tuple(map(add, _hamilton(x00, y01), _hamilton(x01, y11)))
-        z10 = tuple(map(add, _hamilton(x10, y00), _hamilton(x11, y10)))
-        z11 = tuple(map(add, _hamilton(x10, y01), _hamilton(x11, y11)))
-        out = []  # 2a = z00 + z11, 2b = 2c + z01 - z10, 2c = z00 - z11, 2d = z01 + z10
-        for s in range(4):
-            c = z00[s] - z11[s]
-            out += (z00[s] + z11[s], c + z01[s] - z10[s], c, z01[s] + z10[s])
+        # blocks z00, z01, z10, z11 as p, q, r, s; at quaternion unit u, 2a = p + s,
+        # 2c = p - s, 2b = 2c + q - r and 2d = q + r for a, b, c, d as in _matrix
+        (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = (
+            _hamilton2(x00, y00, x01, y10), _hamilton2(x00, y01, x01, y11),
+            _hamilton2(x10, y00, x11, y10), _hamilton2(x10, y01, x11, y11))
+        c0, c1, c2, c3 = p0 - s0, p1 - s1, p2 - s2, p3 - s3
+        out = (p0 + s0, c0 + q0 - r0, c0, q0 + r0, p1 + s1, c1 + q1 - r1, c1, q1 + r1,
+               p2 + s2, c2 + q2 - r2, c2, q2 + r2, p3 + s3, c3 + q3 - r3, c3, q3 + r3)
         return tuple([v >> 1 for v in out] if ints else [v * _HALF for v in out])
 
     # -- constructors -----------------------------------------------------

@@ -23,6 +23,7 @@ from hybridquat.audit import (
     _Scans,
     _binet,
     _binet_constants,
+    _cassini,
     _cassini_side,
     audit_all,
     check_binet,
@@ -463,6 +464,18 @@ def test_a_second_cassini_call_forms_no_constant(monkeypatch):
         _count_calls(monkeypatch, module, "binet_data", builds)
     assert [r.status for r in CATALOG["C1@x^2-x-1"](SPAN)] == ["VERIFIED"]
     assert products == [] and builds == []
+
+
+@pytest.mark.parametrize("seq, p", [(FIBONACCI, 1), (LUCAS, 1), (FIBONACCI, 2)])
+def test_a_surd_free_cassini_side_is_compared_in_int_storage(seq, p):
+    # the three evaluable Cassini constants are surd-free: the scan reads them
+    # as ints over one denominator, with the constant's value and hash
+    side = _cassini_side(seq, p, -1)
+    assert side._den is None
+    for n, signed in ((4, side), (5, -side)):
+        row = _closed_form_row(_cassini(seq, p, -1), n)
+        assert isinstance(row._den, int)
+        assert row == signed and hash(row) == hash(signed)
 
 
 def test_span_bounds_must_be_integers():

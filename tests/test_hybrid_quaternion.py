@@ -21,6 +21,7 @@ import hypothesis.strategies as st
 import pytest
 
 from hybridquat import hybrid, quaternion
+from hybridquat.algebra import Element
 from hybridquat.errors import MixedDiscriminant
 from hybridquat.hybrid import EPS, HH, HI, ONE, Hybrid
 from hybridquat.hybrid_quaternion import (
@@ -291,6 +292,45 @@ def test_dense_surd_product_makes_at_most_144_quadext_multiplies(monkeypatch):
     product = x * y
     assert len(calls) <= 144
     assert product == expected
+
+
+# operands of the M2(H) kernel's int route, every coefficient nonzero: ints up
+# to 10**40 of both signs, or Fractions whose 16 denominators all differ
+big_ints = st.integers(min_value=-(10**40), max_value=10**40).filter(bool)
+unequal_fractions = st.fractions(max_denominator=10**6).filter(lambda f: f.denominator > 1)
+dense_hqs = st.one_of(
+    st.lists(big_ints, min_size=16, max_size=16),
+    st.lists(unequal_fractions, min_size=16, max_size=16, unique_by=lambda f: f.denominator),
+).map(lambda cs: HybridQuaternion(tuple(cs)))
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(dense_hqs, dense_hqs)
+def test_dense_products_keep_the_table_loops_and_both_expansions_repr_and_hash(x, y):
+    product = x * y
+    for expand in (_table_loop, _hybrid_unit_expansion, _quaternion_unit_expansion):
+        expected = expand(x, y)
+        assert repr(product) == repr(expected), expand.__name__
+        assert hash(product) == hash(expected)
+
+
+def test_a_dense_rational_product_skips_the_table_loop_and_a_unit_product_takes_it(monkeypatch):
+    calls = []
+    loop = Element._product
+
+    def counted(self, x, y):
+        calls.append(1)
+        return loop(self, x, y)
+
+    monkeypatch.setattr(Element, "_product", counted)
+    ints = HybridQuaternion(range(1, 17))
+    fractions = HybridQuaternion([Fraction(k, k + 1) for k in range(1, 17)])
+    for x, y in ((ints, ints), (fractions, ints), (fractions, fractions)):
+        assert x * y == _table_loop(x, y)
+    assert calls == []
+    unit = HybridQuaternion.unit("j", "eps")
+    assert unit * ints == _table_loop(unit, ints)
+    assert calls == [1]
 
 
 def test_table_is_the_sparse_kronecker_product_of_the_two_unit_tables():
