@@ -270,8 +270,6 @@ class QuadExt:
         return bool(self.rat_part) or bool(self.surd_part)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return not self.surd_part and self.rat_part == other
         # _lift writes other over self's D; values of two fields differ
         try:
             o = self._lift(other)

@@ -1,8 +1,9 @@
 """End-to-end checks of the command line interface.
 
 Everything runs in-process through ``main(argv)`` so exit codes and output
-bytes are observable directly; one subprocess test confirms the module is
-runnable as ``python -m hybridquat``.
+bytes are observable directly. A few tests compare a call with a fresh
+process over ``src/``; the CLI run as a process, the way CI runs the installed
+package, is checked in ``test_entry_points.py``.
 """
 
 from __future__ import annotations
@@ -583,18 +584,6 @@ def test_mul_over_sixteen_spellings_of_one_field_factors_once(cli, monkeypatch):
 def test_mul_needs_two_lines(cli):
     code, out, err = cli(["mul"], stdin_text=IDENTITY_ROW + "\n")
     assert (code, out, err) == (2, "", "error: mul needs exactly two operand lines, got 1\n")
-
-
-def test_module_is_runnable():
-    proc = subprocess.run(
-        [sys.executable, "-m", "hybridquat",
-         "seq", "--sequence", "fibonacci", "--from", "0", "--to", "7"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == FIB_CSV
 
 
 def _fresh_process(args, stdin_text=""):
