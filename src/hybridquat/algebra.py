@@ -21,10 +21,10 @@ through ``components()``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import add, sub
 
-from .scalars import QuadExt
+from .scalars import QuadExt, _over_one_denominator
 
 
 def structure(unit_products) -> tuple:
@@ -59,28 +59,25 @@ class Element:
         wrong count raises once every item that has a field has passed."""
         items = iter(coeffs)
         values = []
-        den = 1  # lcm of the denominators, None once a QuadExt arrives
-        surds = []  # each must lift into the first one's field
+        rational = True
+        surd = None  # the first surd: each later one must lift into its field
+        # QuadExt, int, then Fraction: an exact type match skips Fraction's ABCMeta check
         for name, v in zip(self._FIELDS, items):
-            if isinstance(v, Fraction):
-                den = den and lcm(den, v.denominator)
-            elif isinstance(v, QuadExt):
-                den = None
+            if isinstance(v, QuadExt):
+                rational = False
                 if v.surd_part:
-                    surds.append(v)
-                    surds[0]._lift(v)
-            elif not isinstance(v, int):
+                    if surd is None:
+                        surd = v
+                    surd._lift(v)
+            elif not isinstance(v, (int, Fraction)):
                 kind = type(self).__name__
                 raise TypeError(f"{kind} coefficient {name} of bad type {type(v).__name__}")
             values.append(v)
         count = len(values) + sum(1 for _ in items)
         if count != len(self._FIELDS):
             raise ValueError(f"need {len(self._FIELDS)} coefficients, got {count}")
-        if den:
-            # reduced fractions over the lcm of their denominators already
-            # have content gcd 1
-            self._num = tuple([v.numerator * (den // v.denominator) for v in values])
-            self._den = den
+        if rational:
+            self._num, self._den = _over_one_denominator(values)
         else:
             self._num = tuple([Fraction(v) if isinstance(v, int) else v for v in values])
             self._den = None
@@ -117,10 +114,6 @@ class Element:
         if isinstance(s, (int, Fraction)):  # in lowest terms already
             return cls._new((s.numerator, *zeros), s.denominator)
         return cls._from_values((s, *zeros))
-
-    def _coeff(self, index: int):
-        value = self._num[index]
-        return value if self._den is None else Fraction(value, self._den)
 
     def components(self) -> tuple:
         if self._den is None:

@@ -35,10 +35,10 @@ class Hybrid(Element):
     def __init__(self, a, b, c, d):
         super().__init__((a, b, c, d))
 
-    a = property(lambda self: self._coeff(0), doc="real part")
-    b = property(lambda self: self._coeff(1), doc="hi part")
-    c = property(lambda self: self._coeff(2), doc="eps part")
-    d = property(lambda self: self._coeff(3), doc="hh part")
+    a = property(lambda self: self.components()[0], doc="real part")
+    b = property(lambda self: self.components()[1], doc="hi part")
+    c = property(lambda self: self.components()[2], doc="eps part")
+    d = property(lambda self: self.components()[3], doc="hh part")
 
     def conj(self) -> "Hybrid":
         return self._negated((1, 2, 3))

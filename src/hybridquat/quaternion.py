@@ -26,10 +26,10 @@ class Quaternion(Element):
     def __init__(self, z0, z1, z2, z3):
         super().__init__((z0, z1, z2, z3))
 
-    z0 = property(lambda self: self._coeff(0))
-    z1 = property(lambda self: self._coeff(1))
-    z2 = property(lambda self: self._coeff(2))
-    z3 = property(lambda self: self._coeff(3))
+    z0 = property(lambda self: self.components()[0])
+    z1 = property(lambda self: self.components()[1])
+    z2 = property(lambda self: self.components()[2])
+    z3 = property(lambda self: self.components()[3])
 
     def conj(self) -> "Quaternion":
         return self._negated((1, 2, 3))

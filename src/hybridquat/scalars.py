@@ -44,6 +44,13 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _over_one_denominator(values) -> tuple:
+    """(ints, m): the rationals as ints over m, the lcm of their denominators;
+    for reduced values gcd(m, *ints) == 1, so the form needs no reducing."""
+    m = lcm(*[v.denominator for v in values])
+    return tuple([v.numerator * (m // v.denominator) for v in values]), m
+
+
 @contextmanager
 def unlimited_digits():
     """Lift CPython's limit on int <-> str conversion inside the block.
@@ -254,10 +261,9 @@ class QuadExt:
         if not isinstance(exponent, int):
             return NotImplemented
         base = self if exponent >= 0 else self.inverse()
-        a, b, d = base.rat_part, base.surd_part, base.discriminant
-        e = lcm(a.denominator, b.denominator)
-        ints = _Ints((a.numerator * (e // a.denominator), b.numerator * (e // b.denominator), e, d))
-        x, y, e, _ = power(ints, abs(exponent), _Ints((1, 0, 1, d)))
+        (x, y), e = _over_one_denominator((base.rat_part, base.surd_part))
+        d = base.discriminant
+        x, y, e, _ = power(_Ints((x, y, e, d)), abs(exponent), _Ints((1, 0, 1, d)))
         return QuadExt._new(Fraction(x, e), Fraction(y, e), d)
 
     def conjugate(self) -> "QuadExt":

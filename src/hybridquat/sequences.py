@@ -41,13 +41,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 
 from .errors import NegativeIndexWithZeroQ
 from .hybrid import Hybrid
 from .hybrid_quaternion import HybridQuaternion
 from .quaternion import Quaternion
-from .scalars import _ZERO, QuadExt, _as_fraction, make_quad_roots
+from .scalars import _ZERO, QuadExt, _as_fraction, _over_one_denominator, make_quad_roots
 
 
 class HoradamParams(namedtuple("HoradamParams", "w0 w1 p q")):
@@ -106,12 +105,6 @@ REGISTRY: dict[str, SequenceId] = {
 
 def _params(seq) -> HoradamParams:
     return seq.params if isinstance(seq, SequenceId) else seq
-
-
-def _over_one_denominator(values) -> tuple:
-    """(ints, m): the rationals as ints over m, the lcm of their denominators."""
-    m = lcm(*(v.denominator for v in values))
-    return [v.numerator * (m // v.denominator) for v in values], m
 
 
 def _jump(params: HoradamParams, n: int) -> tuple:

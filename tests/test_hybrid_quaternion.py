@@ -12,6 +12,7 @@ the unit-table loop below, which the kernel replaced and which pins the
 scalar type of every coefficient (hence ``repr``).
 """
 
+import abc
 import random
 import re
 from fractions import Fraction
@@ -692,3 +693,33 @@ def test_construction_validation():
     for coeffs, error, message in cases:
         with pytest.raises(error, match=re.escape(message)):
             HybridQuaternion(coeffs)
+
+
+def test_construction_makes_no_abc_instance_check(monkeypatch):
+    # Fraction's metaclass is ABCMeta: isinstance(v, Fraction) runs its
+    # __instancecheck__ for any v that is not exactly a Fraction
+    root5 = QuadExt(1, 2, 5)
+    scalars = [
+        [3, -1, 0, 7],
+        [Fraction(1, 2), Fraction(-3, 4), Fraction(0), Fraction(5)],
+        [root5, QuadExt(0, 1, 5), QuadExt(Fraction(1, 3), 0, 5), root5.conjugate()],
+        [root5, 2, Fraction(1, 2), 0],
+    ]
+    calls = []
+    instancecheck = abc.ABCMeta.__instancecheck__
+
+    def counted(cls, instance):
+        calls.append((cls.__name__, type(instance).__name__))
+        return instancecheck(cls, instance)
+
+    monkeypatch.setattr(abc.ABCMeta, "__instancecheck__", counted)
+    for four in scalars:
+        HybridQuaternion(four * 4)
+        Hybrid(*four)
+        Quaternion(*four)
+    built = list(calls)
+    calls.clear()
+    isinstance(1, Fraction)  # the patch does see a check
+    monkeypatch.undo()
+    assert built == []
+    assert calls == [("Fraction", "int")]

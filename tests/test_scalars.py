@@ -4,6 +4,7 @@ import re
 import sys
 from collections import deque
 from fractions import Fraction
+from math import gcd, lcm
 
 import hypothesis
 import hypothesis.strategies as st
@@ -20,6 +21,7 @@ from hybridquat.hybrid import Hybrid
 from hybridquat.hybrid_quaternion import HybridQuaternion, parse_hybrid_quaternion
 from hybridquat.scalars import (
     QuadExt,
+    _over_one_denominator,
     make_quad_roots,
     parse_scalar,
     split_square,
@@ -35,6 +37,41 @@ discs = st.sampled_from([5, 2, 17, 13, -1, -7])
 def quadexts(draw, disc=None):
     d = disc if disc is not None else draw(discs)
     return QuadExt(draw(rationals), draw(rationals), d)
+
+
+# -- rationals as ints over one denominator ---------------------------------
+
+# the primes below 50 and the four largest below 10**12: pairwise coprime
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+PRIMES += [999999999937, 999999999959, 999999999961, 999999999989]
+
+
+@st.composite
+def fraction_lists(draw):
+    """1-16 reduced Fractions: zeros, negatives, and denominators that are
+    shared (a few drawn up to 10**12), pairwise coprime, or drawn freely."""
+    n = draw(st.integers(1, 16))
+    shared = st.lists(st.integers(1, 10**12), min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    )
+    coprime = st.lists(st.sampled_from(PRIMES), min_size=n, max_size=n, unique=True)
+    free = st.lists(st.integers(1, 10**12), min_size=n, max_size=n)
+    numerators = st.one_of(st.just(0), st.integers(-(10**12), 10**12))
+    return [Fraction(draw(numerators), d) for d in draw(st.one_of(shared, coprime, free))]
+
+
+@hypothesis.given(fraction_lists())
+def test_over_one_denominator_writes_ints_over_the_lcm_with_content_one(values):
+    ints, m = _over_one_denominator(values)
+    assert m == lcm(*[v.denominator for v in values])
+    assert all(type(i) is int for i in ints)
+    assert [Fraction(i, m) for i in ints] == values
+    assert gcd(m, *ints) == 1
+    # the constructor stores the writer's form, with nothing left to reduce
+    zeros = (0,) * (16 - len(values))
+    built = HybridQuaternion(values + [Fraction(0)] * len(zeros))
+    expected = HybridQuaternion._reduced(ints + zeros, m)
+    assert (built._num, built._den) == (expected._num, expected._den)
 
 
 # -- square splitting ----------------------------------------------------
