@@ -311,14 +311,18 @@ _ZERO = Fraction(0)
 
 class _Ints(tuple):
     """(x, y, e, D), (x + y*sqrt(D))/e on ints, for QuadExt.__pow__: a product shifts
-    out the power of 2 its ints share, as (1 + sqrt(5))^n/2^n keeps 2^(n-1) in all three."""
+    out the power of 2 its ints share, as (1 + sqrt(5))^n/2^n keeps 2^(n-1) in all three.
+    A square forms x and y from three products, not four."""
 
     __slots__ = ()
 
     def __mul__(self, other):
         a, b, e, d = self
-        c, g, f, _ = other
-        x, y, e = a * c + b * g * d, a * g + b * c, e * f
+        if other is self:
+            x, y, e = a * a + b * b * d, (a * b) << 1, e * e
+        else:
+            c, g, f, _ = other
+            x, y, e = a * c + b * g * d, a * g + b * c, e * f
         low = x | y | e
         shift = (low & -low).bit_length() - 1
         return _Ints((x >> shift, y >> shift, e >> shift, d))

@@ -4,10 +4,12 @@ A Horadam sequence w_n(w0, w1; p, q) obeys w_n = p*w_{n-1} - q*w_{n-2}, and
 w_n = w_0*U_{n+1} + (w_1 - p*w_0)*U_n for every integer n, U being the Lucas
 sequence of (p, q) with U_0 = 0, U_1 = 1 and U_{-k} = -U_k/q^k.  A window
 w_lo .. w_hi jumps to its start through one pair (U_m, U_{m+1}), built by
-doubling (m = -lo - 1 for lo < 0, which needs q != 0), then walks forward,
-on ints over one denominator (``_walk``): p, q and the start values are each
-ints over the lcm of their denominators, and the terms come out as ints over
-one positive denominator, which the lifts read; ``window`` makes the Fractions.
+doubling (U_k, V_k) with V the companion Lucas sequence, one product and one
+square per bit of m (m = -lo - 1 for lo < 0, which needs q != 0), then walks
+forward on ints: p, q and the start values are each ints over the lcm of
+their denominators.  ``_walk`` writes the terms as ints over one positive
+denominator, which the lifts read; ``window`` makes the Fractions, each term
+over its own denominator.
 Lifts place consecutive terms on the hybrid, quaternion and hybrid-quaternion
 bases; ``LIFTS`` gives each one's width and class, and ``_lift`` builds it:
 
@@ -107,24 +109,31 @@ def _params(seq) -> HoradamParams:
     return seq.params if isinstance(seq, SequenceId) else seq
 
 
-def _jump(params: HoradamParams, n: int) -> tuple:
-    """(a, b, d) with w_n = a/d, w_{n+1} = b/d, from the Lucas pair (u_m, u_{m+1})
-    of u = U(P, Q*c), m = n or -n-1, by doubling: u_{2k} = u_k(2u_{k+1} - P*u_k),
-    u_{2k+1} = u_{k+1}^2 - Q*c*u_k^2.  Over d*c^n for n >= 0, over d*Q^-n below."""
-    (P, Q), c = _over_one_denominator((params.p, params.q))
+def _jump(params: HoradamParams, n: int, P: int, Q: int, c: int) -> tuple:
+    """(a, b, d) with w_n = a/d, w_{n+1} = b/d, for p = P/c and q = Q/c, from
+    the pair (u_m, u_{m+1}) of u = U(P, Q*c), m = n or -n-1.  Each bit of m
+    doubles u and its companion v = V(P, Q*c) by one product and one square,
+    u_2k = u_k*v_k and v_2k = v_k^2 - 2*(Q*c)^k; a 1 bit then steps by halves,
+    exact as v_k = P*u_k mod 2.  (Q*c)^k is squared after every doubling but
+    the last, which no later step reads.  Over d*c^n for n >= 0, d*Q^-n below."""
     (a, b), d = _over_one_denominator((params.w0, params.w1))
-    u, v, Qc = 0, 1, Q * c
-    for bit in bin(n if n >= 0 else ~n)[2:]:
-        u, v = u * (2 * v - P * u), v * v - Qc * (u * u)
+    Qc = Q * c
+    D, u, v, r = P * P - 4 * Qc, 0, 2, 1
+    bits = bin(n if n >= 0 else ~n)[2:]
+    for i, bit in enumerate(bits, 1 - len(bits)):  # i = 0 at the last bit
+        u, v = u * v, v * v - 2 * r
+        if i:
+            r *= r
         if bit == "1":
-            u, v = v, P * v - Qc * u
+            u, v, r = (P * u + v) >> 1, (D * u + P * v) >> 1, r * Qc
+    v = (P * u + v) >> 1  # u_{m+1}
     if n >= 0:
         return a * v + (c * b - P * a) * u, b * v - Q * a * u, d * c ** n
     return -(Qc * a * u + (c * b - P * a) * v), Q * (a * v - c * b * u), d * Q ** -n
 
 
-def _walk(seq, lo: int, hi: int) -> tuple:
-    """(ints, den): w_lo .. w_hi as ints over one positive den.  Jump to
+def _terms(seq, lo: int, hi: int) -> tuple:
+    """(ints, d, c): w_{lo+j} = ints[j]/(d*c^j) for j = 0 .. hi-lo.  Jump to
     (w_lo, w_{lo+1}) in O(log |lo|) Lucas doublings, then walk on ints: with
     p = P/c, q = Q/c, T_j = w_{lo+j}*d*c^j obeys T_{j+1} = P*T_j - Q*c*T_{j-1}.
     Only the window's terms are kept."""
@@ -133,12 +142,19 @@ def _walk(seq, lo: int, hi: int) -> tuple:
         raise ValueError("empty index window")
     if lo < 0 and not params.q:
         raise NegativeIndexWithZeroQ(f"{params.label()} cannot run backwards: q = 0")
-    a, b, d = _jump(params, lo)
     (P, Q), c = _over_one_denominator((params.p, params.q))
+    a, b, d = _jump(params, lo, P, Q, c)
     ints, Q = [a, b * c][: hi - lo + 1], Q * c
     while len(ints) <= hi - lo:
         ints.append(P * ints[-1] - Q * ints[-2])
-    if c > 1:  # T_j over d*c^j, so all over d*c^(hi-lo)
+    return ints, d, c
+
+
+def _walk(seq, lo: int, hi: int) -> tuple:
+    """(ints, den): w_lo .. w_hi as ints over one positive den, ``_terms``
+    written over d*c^(hi-lo)."""
+    ints, d, c = _terms(seq, lo, hi)
+    if c > 1:
         ints, d = [t * c ** (hi - lo - j) for j, t in enumerate(ints)], d * c ** (hi - lo)
     if d < 0:  # d*Q^k from the jump, Q < 0 and k odd
         ints, d = [-t for t in ints], -d
@@ -146,9 +162,14 @@ def _walk(seq, lo: int, hi: int) -> tuple:
 
 
 def window(seq, lo: int, hi: int) -> list:
-    """Exact values w_lo .. w_hi, the Fractions of ``_walk``'s ints over its den."""
-    ints, den = _walk(seq, lo, hi)
-    return [Fraction(t, den) for t in ints]
+    """Exact values w_lo .. w_hi, the Fractions of ``_terms``: each over its own
+    d*c^j, so no gcd meets the c^(hi-lo-j) that one denominator would add."""
+    ints, d, c = _terms(seq, lo, hi)
+    values = []
+    for t in ints:
+        values.append(Fraction(t, d))
+        d *= c
+    return values
 
 
 def horadam(seq, n: int) -> Fraction:

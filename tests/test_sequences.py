@@ -230,11 +230,27 @@ def _matrix_power_window(params, lo, hi):
 EDGE_INDICES = sorted({s * (2**k + e) for k in range(13) for e in (-1, 0, 1) for s in (1, -1)})
 
 
+# the jump doubles (U_k, V_k, (Q*c)^k) and squares (Q*c)^k at every bit but
+# the last: Q = -1, 1, 2 and -2, c > 1 (p = 1/2) and complex roots (p = q = 3)
+JUMP_PARAMS = [
+    FIBONACCI.params,
+    HoradamParams(2, 3, 3, 1),
+    MERSENNE.params,
+    JACOBSTHAL.params,
+    HoradamParams(0, 1, Fraction(1, 2), -1),
+    HoradamParams(0, 1, 3, 3),
+]
+JUMP_INDICES = sorted({s * (2**k + e) for k in range(17) for e in (-1, 0, 1) for s in (1, -1)})
+
+
 def _at_edge_indices(test):
     for lo in EDGE_INDICES:
         test = hypothesis.example(
             HoradamParams(Fraction(1, 3), Fraction(-2, 5), Fraction(3, 2), Fraction(-5, 7)), lo, 3
         )(test)
+    for params in JUMP_PARAMS:
+        for lo in JUMP_INDICES:
+            test = hypothesis.example(params, lo, 1)(test)
     for params in (HoradamParams(Fraction(4, 7), 1, Fraction(-9, 2), 0), HoradamParams(3, -1, 0, 0)):
         for lo in (0, 1, 4095, 4096, 4097):
             test = hypothesis.example(params, lo, 3)(test)
@@ -260,6 +276,25 @@ def test_far_windows_match_a_fraction_matrix_power(params, lo, width):
     terms = window(params, lo, lo + width)
     assert terms == _matrix_power_window(params, lo, lo + width)
     assert all(type(t) is Fraction for t in terms)
+
+
+def test_a_walk_writes_p_and_q_over_one_denominator_once(monkeypatch):
+    # the walk writes (p, q) over one denominator and hands (P, Q, c) to the
+    # jump, which writes only the start values
+    import hybridquat.sequences as sequences
+
+    writer, calls = sequences._over_one_denominator, []
+
+    def counting(values):
+        calls.append(values)
+        return writer(values)
+
+    monkeypatch.setattr(sequences, "_over_one_denominator", counting)
+    params = HoradamParams(Fraction(1, 3), Fraction(-2, 5), Fraction(3, 2), Fraction(-5, 7))
+    for lo in (-12, 0, 1000):
+        calls.clear()
+        _walk(params, lo, lo + 3)
+        assert calls == [(params.p, params.q), (params.w0, params.w1)]
 
 
 def test_point_window_keeps_only_its_terms():
@@ -680,7 +715,7 @@ def test_the_binet_route_never_calls_the_jump(monkeypatch):
 
     before = evaluate()
 
-    def broken(params, n):
+    def broken(*args):
         raise AssertionError("the Binet route reached the recurrence jump")
 
     monkeypatch.setattr(sequences, "_jump", broken)
