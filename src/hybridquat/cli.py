@@ -56,17 +56,23 @@ def _resolve_sequence(name: str | None, params_text: str | None) -> HoradamParam
 
 
 def _emit_table(terms: list, lo: int, hi: int, lift: str, fmt: str, out) -> None:
-    # render each term once and lay out the strings: a term fills up to 16
-    # cells, and str of a large Fraction is quadratic in its digits
+    # render (and for JSON quote) each term once and lay out the strings: a
+    # term fills up to 16 cells, and str of a large Fraction is quadratic in
+    # its digits.  JSON rows are written as laid out, in the layout of
+    # json.dumps(payload, indent=2), which would join the table in Python.
     cells = [str(t) for t in terms]
-    rows = [(n, _layout(cells, lo, lift, n)) for n in range(lo, hi + 1)]
     if fmt == "csv":
         out.write(",".join(("n",) + _HEADERS[lift]) + "\n")
-        for n, coeffs in rows:
-            out.write(",".join([str(n)] + coeffs) + "\n")
-    else:
-        payload = [{"n": n, "coeffs": coeffs} for n, coeffs in rows]
-        out.write(json.dumps(payload, indent=2) + "\n")
+        for n in range(lo, hi + 1):
+            out.write(",".join([str(n)] + _layout(cells, lo, lift, n)) + "\n")
+        return
+    cells = [json.dumps(cell) for cell in cells]
+    row = '  {\n    "n": %d,\n    "coeffs": [\n      %s\n    ]\n  }'
+    out.write("[\n")
+    for n in range(lo, hi + 1):
+        coeffs = ",\n      ".join(_layout(cells, lo, lift, n))
+        out.write((row if n == lo else ",\n" + row) % (n, coeffs))
+    out.write("\n]\n")
 
 
 def run_seq(args: argparse.Namespace, out) -> int:

@@ -108,15 +108,15 @@ def split_square(n: int) -> tuple[int, int]:
 
 def power(base, exponent: int, one):
     """base ** exponent for an int exponent >= 0, ``one`` being the unit of
-    base's ring; base is squared only while bits remain (x ** 141 costs
-    seven squarings and four multiplies)."""
-    result = one
-    while exponent:
-        if exponent & 1:
+    base's ring, left to right: every multiply is by base itself (x ** 141
+    costs seven squarings and three multiplies, each by x)."""
+    if not exponent:
+        return one
+    result = base
+    for bit in bin(exponent)[3:]:
+        result = result * result
+        if bit == "1":
             result = result * base
-        exponent >>= 1
-        if exponent:
-            base = base * base
     return result
 
 
@@ -312,7 +312,8 @@ _ZERO = Fraction(0)
 class _Ints(tuple):
     """(x, y, e, D), (x + y*sqrt(D))/e on ints, for QuadExt.__pow__: a product shifts
     out the power of 2 its ints share, as (1 + sqrt(5))^n/2^n keeps 2^(n-1) in all three.
-    A square forms x and y from three products, not four."""
+    A square forms x and y from three products, not four; ``power`` multiplies only by
+    the base, so every other product meets the base's small ints."""
 
     __slots__ = ()
 

@@ -193,6 +193,50 @@ def test_seq_renders_each_term_once(cli, monkeypatch, lift, method, fmt):
     assert 0 < len(calls) <= hi - lo + len(LIFT_OFFSETS[lift])
 
 
+@pytest.mark.parametrize("method", ["recurrence", "binet"])
+@pytest.mark.parametrize("lift", list(LIFT_OFFSETS))
+@pytest.mark.parametrize(
+    "source, lo, hi",
+    [
+        (["--sequence", "fibonacci"], -9, 6),  # negative indices
+        (["--params", "1/2,3,1/2,-1"], -4, 5),  # rational terms
+        (["--params", "0,1,3,3"], -3, 4),  # complex roots
+        (["--sequence", "pell"], 7, 7),  # one row
+    ],
+)
+def test_seq_json_is_the_json_dumps_layout_of_the_csv_cells(cli, source, lo, hi, lift, method):
+    args = ["seq", *source, "--from", str(lo), "--to", str(hi), "--lift", lift, "--method", method]
+    _, csv_out, _ = cli(args)
+    code, json_out, err = cli(args + ["--format", "json"])
+    rows = [line.split(",") for line in csv_out.splitlines()[1:]]
+    payload = [{"n": int(r[0]), "coeffs": r[1:]} for r in rows]
+    assert (code, err, len(rows)) == (0, "", hi - lo + 1)
+    assert json_out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_seq_json_holds_no_more_than_twice_the_csv_tables_memory(monkeypatch):
+    # the JSON rows are written as they are laid out, never joined into one
+    # document, so a long table peaks near its csv form
+    import tracemalloc
+
+    class Discard:
+        def write(self, text):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Discard())
+    main(["seq", "--sequence", "fibonacci", "--from", "0", "--to", "0"])  # builds the parser
+    peaks = {}
+    for fmt in ("csv", "json"):
+        tracemalloc.start()
+        try:
+            assert main(["seq", "--sequence", "fibonacci", "--from", "0", "--to", "4000",
+                         "--lift", "hybrid-quaternion", "--format", fmt]) == 0
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["json"] <= 2 * peaks["csv"], peaks
+
+
 def test_binet_rejects_rational_roots(cli):
     code, out, err = cli(
         ["seq", "--sequence", "mersenne", "--from", "0", "--to", "5", "--method", "binet"]

@@ -387,8 +387,9 @@ def test_hq_mul_takes_two_hybrid_quaternions():
 
 
 def test_power_squares_only_up_to_the_top_bit(monkeypatch):
-    # 141 = 0b10001101: seven squarings reach x**128 and the four set bits
-    # cost four multiplies; squaring once more would build x**256 for nothing
+    # 141 = 0b10001101, read left to right: seven squarings, one per bit
+    # after the top one, and a multiply by x itself at each of the three 1
+    # bits among them; the top bit is x, so no multiply by one is made
     x = HybridQuaternion(tuple(range(1, 17)))
     expected = x
     for _ in range(140):
@@ -397,12 +398,47 @@ def test_power_squares_only_up_to_the_top_bit(monkeypatch):
     product = HybridQuaternion.__mul__
 
     def counting(a, b):
-        (squarings if a is b else multiplies).append(1)
+        (squarings if a is b else multiplies).append(b)
         return product(a, b)
 
     monkeypatch.setattr(HybridQuaternion, "__mul__", counting)
     assert x ** 141 == expected
-    assert (len(squarings), len(multiplies)) == (7, 4)
+    assert (len(squarings), len(multiplies)) == (7, 3)
+    assert squarings[0] is x
+    assert all(b is x for b in multiplies)
+
+
+def _right_to_left_power(x, e):
+    """x ** e by squaring x up and multiplying the set bits' powers into one."""
+    result = HybridQuaternion.from_scalar(1)
+    while e:
+        if e & 1:
+            result = result * x
+        e >>= 1
+        if e:
+            x = x * x
+    return result
+
+
+# int values, dense or as sparse as a unit, and Fraction values
+int_hqs = st.lists(
+    st.one_of(st.integers(-3, 3), st.sampled_from([0, 0, 0, 1, -1])), min_size=16, max_size=16
+).map(lambda cs: HybridQuaternion(tuple(cs)))
+
+
+@hypothesis.settings(deadline=None, max_examples=60)
+@hypothesis.given(st.one_of(int_hqs, hqs), st.integers(0, 20))
+def test_rational_power_matches_a_right_to_left_power(x, e):
+    assert repr(x ** e) == repr(_right_to_left_power(x, e))
+
+
+@hypothesis.settings(deadline=None, max_examples=40)
+@hypothesis.given(surd_hqs, st.integers(0, 12))
+def test_surd_power_matches_a_right_to_left_power(x, e):
+    # a zero coefficient may be Fraction(0) or a zero QuadExt, by the order
+    # of the products, so repr is not compared
+    got, want = x ** e, _right_to_left_power(x, e)
+    assert (got == want, hash(got), str(got)) == (True, hash(want), str(want))
 
 
 def test_int_coefficients_become_fractions():

@@ -1,5 +1,6 @@
 """Exact-scalar layer: Q(sqrt(D)) arithmetic, root construction, parsing."""
 
+import functools
 import re
 import sys
 from collections import deque
@@ -342,12 +343,16 @@ def test_power_squares_only_up_to_the_top_bit(monkeypatch):
     product = hybridquat.scalars._Ints.__mul__
 
     def counting(a, b):
-        (squarings if a is b else multiplies).append(1)
+        (squarings if a is b else multiplies).append(b)
         return product(a, b)
 
     monkeypatch.setattr(hybridquat.scalars._Ints, "__mul__", counting)
     assert x ** 141 == expected
-    assert (len(squarings), len(multiplies)) == (7, 4)
+    # 141 = 0b10001101, read left to right: the first square is of the base
+    # itself, and each of the three 1 bits after the top one multiplies by it
+    assert (len(squarings), len(multiplies)) == (7, 3)
+    assert squarings[0] == (1, 1, 1, 5)
+    assert all(b is squarings[0] for b in multiplies)
 
 
 @st.composite
@@ -375,6 +380,36 @@ def test_power_matches_repeated_multiplies(case):
         expected = expected * base
     got = q ** n
     assert (repr(got), hash(got)) == (repr(expected), hash(expected))
+
+
+# alpha for Fibonacci, Fermat (Q = -2), p = 1/2, complex roots and D = 900060005
+ROOT_PARAMS = [(1, -1), (3, -2), (Fraction(1, 2), -1), (3, 3), (30001, -1)]
+# the exponents where a left-to-right power changes shape: a lone top bit, all
+# ones below it, one bit past it
+BIT_EDGES = sorted({0, 1} | {s * (2**k + o) for k in range(1, 13) for o in (-1, 0, 1) for s in (1, -1)})
+
+
+@functools.lru_cache(maxsize=None)
+def _repeated_products(p, q, negative):
+    """alpha^n at every |n| in BIT_EDGES of sign ``negative``, by one multiply per step."""
+    alpha = make_quad_roots(p, q)[0]
+    step = alpha.inverse() if negative else alpha
+    wanted = {abs(n) for n in BIT_EDGES if (n < 0) == negative}
+    value, found = QuadExt(1, 0, alpha.discriminant), {}
+    for n in range(max(wanted) + 1):
+        if n in wanted:
+            found[n] = value
+        value = value * step
+    return alpha, found
+
+
+@hypothesis.settings(deadline=None, max_examples=300)
+@hypothesis.given(st.sampled_from(ROOT_PARAMS), st.sampled_from(BIT_EDGES))
+def test_power_at_bit_edges_matches_repeated_multiplies(pq, n):
+    alpha, expected = _repeated_products(*pq, n < 0)
+    got, want = alpha ** n, expected[abs(n)]
+    with unlimited_digits():  # alpha^4097 over D = 900060005 has about 18500 digits
+        assert (repr(got), hash(got)) == (repr(want), hash(want))
 
 
 def test_rational_operand_lifting():
