@@ -15,7 +15,7 @@ of them, so sums and products run on ints and build no ``Fraction``; the
 form is unique, so equality is a tuple compare.  A value with a
 ``QuadExt`` coefficient keeps its scalars as given (ints lifted to
 ``Fraction``).  The coefficients are read back as ``Fraction``/``QuadExt``
-through ``components()``.
+through ``components()``; ``str`` writes int storage from its ints.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add, sub
 
-from .scalars import QuadExt, _over_one_denominator
+from .scalars import QuadExt, _over_one_denominator, render_ratio
 
 
 def structure(unit_products) -> tuple:
@@ -234,7 +234,11 @@ class Element:
         return f"{self.__class__.__qualname__}({fields})"
 
     def __str__(self):
-        return render_terms(zip(self.components(), self._UNITS))
+        if self._den is None:
+            return render_terms(zip(self._num, self._UNITS))
+        # a nonzero int cell as its text, which is str of its Fraction
+        den = self._den
+        return render_terms([(render_ratio(n, den), u) for n, u in zip(self._num, self._UNITS) if n])
 
 
 def render_coeff(value, unit: str) -> tuple[str, str]:
@@ -252,7 +256,8 @@ def render_coeff(value, unit: str) -> tuple[str, str]:
 
 
 def render_terms(pairs) -> str:
-    """Join (coefficient, unit) pairs, omitting zero terms."""
+    """Join (coefficient, unit) pairs, omitting zero terms; a nonzero
+    coefficient may be given as its text."""
     out: list[str] = []
     for value, unit in pairs:
         if not value:

@@ -36,6 +36,11 @@ c * op(E(lift of seq at n + k)), where E embeds a scalar, hybrid or
 quaternion lift (``HybridQuaternion.from_<lift>``) and op, if given, is a
 unit multiplying from the left or one of the three conjugations.
 
+Closed-form constants depend on the parameters, never on the span, so each
+is built once per parameter set for the process: the Binet data, and the
+Cassini side together with its negation in the form the scan compares (as
+ints when it has no surd).  A constant that raises is not kept.
+
 A claim whose right-hand side cannot be evaluated (rational roots where a
 surd is required, or two incompatible surds in one expression) is reported
 as UNEVALUABLE with the offending error, not as a verdict either way.
@@ -103,8 +108,24 @@ class IdentityReport(namedtuple("IdentityReport", _REPORT_FIELDS, defaults=(None
         }
 
 
+# one report of json.dumps([r.to_dict() for r in reports], indent=2), in its layout
+_REPORT = (
+    '  {\n    "identity": %s,\n    "sequence": %s,\n    "range": [\n      %d,\n      %d\n    ],'
+    '\n    "status": %s,\n    "first_failure": %s\n  }'
+)
+_FAILURE = '{\n      "n": %d,\n      "lhs": %s,\n      "rhs": %s,\n      "residual": %s\n    }'
+
+
 def reports_to_json(reports) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2)
+    """The reports' to_dict() as json.dumps(..., indent=2) lays them out, written
+    from the templates above; json.dumps (the C encoder) quotes each string."""
+    q, rows = json.dumps, []
+    for r in reports:
+        f = r.first_failure
+        failure = "null" if f is None else _FAILURE % (f.n, q(f.lhs), q(f.rhs), q(f.residual))
+        label = q(r.status_label())
+        rows.append(_REPORT % (q(r.identity_id), q(r.sequence.label()), *r.span, label, failure))
+    return "[\n" + ",\n".join(rows) + "\n]" if rows else "[]"
 
 
 class _Scans:
@@ -114,8 +135,8 @@ class _Scans:
     as far as hat(w)_{last+3}, breve(w)_{last+6} and tilde(w)_{last+6} read,
     where last is the span's R-th index, R the largest declared order) are
     built on first use and shared by this call only; ``lift`` reads them.
-    Closed-form constants depend on parameters, never on the span: they are
-    kept per parameter set for the process (``_binet_constants``, ``_cassini_side``).
+    Closed-form constants are kept per parameter set for the process, not
+    here (``_binet_constants``, ``_cassini_side``, ``_cassini_signed``).
     """
 
     def __init__(self, span):
@@ -215,12 +236,19 @@ def _cassini_side(seq, p, q):
     return factor * (v - _conjugate(v))
 
 
+@lru_cache(maxsize=128)
+def _cassini_signed(seq, p, q):
+    """(side, -side), the compared constant at even and odd n: _cassini_side,
+    in int storage when it has no surd."""
+    side = _cassini_side(seq, p, q)
+    if not any(v.surd_part for v in side.components()):  # compare it as ints
+        side = HybridQuaternion([v.rat_part for v in side.components()])
+    return side, -side
+
+
 def _cassini(seq, p, q):
     def prepare(s):
-        side = _cassini_side(seq, p, q)
-        if not any(v.surd_part for v in side.components()):  # compare it as ints
-            side = HybridQuaternion([v.rat_part for v in side.components()])
-        signed, hat = (side, -side), s.lift(seq, "hybrid-quaternion")
+        signed, hat = _cassini_signed(seq, p, q), s.lift(seq, "hybrid-quaternion")
         return lambda n: [hat(n + 1) * hat(n - 1) - hat(n) * hat(n), signed[n % 2]]
 
     return prepare

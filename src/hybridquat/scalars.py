@@ -21,7 +21,7 @@ from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import DivisionByZero, MixedDiscriminant, RationalRoots, RepeatedRoot
 
@@ -49,6 +49,12 @@ def _over_one_denominator(values) -> tuple:
     for reduced values gcd(m, *ints) == 1, so the form needs no reducing."""
     m = lcm(*[v.denominator for v in values])
     return tuple([v.numerator * (m // v.denominator) for v in values]), m
+
+
+def render_ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for ints n and d > 0, with no Fraction built."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 @contextmanager

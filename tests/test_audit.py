@@ -14,10 +14,12 @@ import pytest
 
 import hybridquat.audit
 import hybridquat.sequences
+from hybridquat.algebra import Element
 from hybridquat.audit import (
     AUDIT_SEQUENCES,
     CATALOG,
     DEFAULT_SPAN,
+    FirstFailure,
     IdentityReport,
     _Identity,
     _Scans,
@@ -25,6 +27,7 @@ from hybridquat.audit import (
     _binet_constants,
     _cassini,
     _cassini_side,
+    _cassini_signed,
     audit_all,
     check_binet,
     check_cassini,
@@ -383,7 +386,7 @@ def _count_calls(monkeypatch, module, name, log):
 
 
 def _clear_constant_caches():
-    for cache in (_binet_constants, _cassini_side):
+    for cache in (_binet_constants, _cassini_side, _cassini_signed):
         cache.cache_clear()
 
 
@@ -476,6 +479,37 @@ def test_a_surd_free_cassini_side_is_compared_in_int_storage(seq, p):
         row = _closed_form_row(_cassini(seq, p, -1), n)
         assert isinstance(row._den, int)
         assert row == signed and hash(row) == hash(signed)
+
+
+@pytest.mark.parametrize("seq, p", [(FIBONACCI, 1), (LUCAS, 1), (FIBONACCI, 2)])
+def test_the_cached_cassini_pair_is_the_side_and_its_negation(seq, p):
+    side = _cassini_side(seq, p, -1)
+    pair = _cassini_signed(seq, p, -1)
+    assert pair is _cassini_signed(seq, p, -1)
+    for got, want in zip(pair, (side, -side)):
+        assert got == want and hash(got) == hash(want)
+
+
+def test_a_second_cassini_call_builds_no_value_from_components(monkeypatch):
+    CATALOG["C2@x^2-x-1"](SPAN)
+    built = []
+    init = Element.__init__
+
+    def counted(self, coeffs):
+        built.append(type(self).__name__)
+        return init(self, coeffs)
+
+    monkeypatch.setattr(Element, "__init__", counted)
+    assert [r.status for r in CATALOG["C2@x^2-x-1"](SPAN)] == ["REFUTED"]
+    assert "HybridQuaternion" not in built
+
+
+def test_an_unevaluable_cassini_constant_is_not_cached():
+    _clear_constant_caches()
+    for _ in range(3):
+        reports = CATALOG["C2@x^2-2x-1"](SPAN)
+        assert [r.status_label() for r in reports] == ["UNEVALUABLE(MixedDiscriminant)"]
+    assert _cassini_signed.cache_info().currsize == 0
 
 
 def test_span_bounds_must_be_integers():
@@ -808,3 +842,40 @@ def test_reports_are_byte_identical_to_the_recorded_ones(span):
     got = {"all": sha(audit_all(span))}
     got.update((key, sha(ident(span))) for key, ident in CATALOG.items())
     assert got == REPORT_SHA256[span]
+
+
+class _Labelled:
+    """A report's sequence: anything with a label()."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def label(self):
+        return self.text
+
+
+# text with quotes, backslashes, control characters and non-ASCII, often
+_TEXT = st.one_of(st.text(), st.text(alphabet='"\\\x00\x1f\x7f\n\tü√5 𝔽', max_size=12))
+_INDEX = st.one_of(st.integers(), st.integers(10**300, 10**400), st.integers(-(10**400), -(10**300)))
+
+
+@st.composite
+def _reports(draw):
+    status = draw(st.sampled_from(["VERIFIED", "REFUTED", "UNEVALUABLE"]))
+    failure = None
+    if status == "REFUTED":
+        failure = FirstFailure(draw(_INDEX), draw(_TEXT), draw(_TEXT), draw(_TEXT))
+    error = draw(_TEXT) if status == "UNEVALUABLE" else None
+    span = (draw(st.integers(-(10**6), 10**6)), draw(st.integers(-(10**6), 10**6)))
+    return IdentityReport(draw(_TEXT), _Labelled(draw(_TEXT)), span, status, error, failure)
+
+
+@hypothesis.settings(deadline=None, max_examples=300)
+@hypothesis.given(st.lists(_reports(), max_size=4))
+def test_report_json_is_json_dumps_of_the_report_dicts(reports):
+    assert reports_to_json(reports) == json.dumps([r.to_dict() for r in reports], indent=2)
+
+
+def test_report_json_of_no_reports():
+    assert reports_to_json([]) == json.dumps([], indent=2) == "[]"
+    assert reports_to_json(iter([])) == "[]"

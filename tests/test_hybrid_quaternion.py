@@ -15,6 +15,7 @@ scalar type of every coefficient (hence ``repr``).
 import abc
 import random
 import re
+import sys
 from fractions import Fraction
 
 import hypothesis
@@ -22,7 +23,7 @@ import hypothesis.strategies as st
 import pytest
 
 from hybridquat import hybrid, quaternion
-from hybridquat.algebra import Element
+from hybridquat.algebra import Element, render_terms
 from hybridquat.errors import MixedDiscriminant
 from hybridquat.hybrid import EPS, HH, HI, ONE, Hybrid
 from hybridquat.hybrid_quaternion import (
@@ -39,7 +40,7 @@ from hybridquat.hybrid_quaternion import (
     scalar_vector_form,
 )
 from hybridquat.quaternion import QONE, I, J, K, Quaternion
-from hybridquat.scalars import QuadExt
+from hybridquat.scalars import QuadExt, unlimited_digits
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=24)
 hqs = st.builds(
@@ -759,3 +760,74 @@ def test_construction_makes_no_abc_instance_check(monkeypatch):
     monkeypatch.undo()
     assert built == []
     assert calls == [("Fraction", "int")]
+
+
+# int-stored values of the three algebras: numerators with zeros and signs over
+# one drawn denominator, so most values keep a denominator above 1
+_ALGEBRAS = {Hybrid: lambda cs: Hybrid(*cs), Quaternion: lambda cs: Quaternion(*cs),
+             HybridQuaternion: HybridQuaternion}
+
+
+@st.composite
+def int_stored(draw):
+    cls = draw(st.sampled_from(list(_ALGEBRAS)))
+    width = len(cls._FIELDS)
+    cell = st.one_of(st.just(0), st.integers(-(10**30), 10**30))
+    nums = draw(st.one_of(st.just([0] * width), st.lists(cell, min_size=width, max_size=width)))
+    den = draw(st.integers(1, 10**12))
+    return _ALGEBRAS[cls]([Fraction(n, den) for n in nums])
+
+
+@hypothesis.settings(deadline=None, max_examples=300)
+@hypothesis.given(int_stored())
+def test_str_of_int_storage_is_the_text_of_its_fractions(x):
+    assert isinstance(x._den, int)
+    assert str(x) == render_terms(zip(x.components(), x._UNITS))
+
+
+def test_str_of_int_storage_covers_every_cell_shape():
+    x = HybridQuaternion([0, Fraction(-3, 6), 2, Fraction(5, 3)] + [0] * 11 + [Fraction(-7, 2)])
+    assert x._den == 6
+    assert str(x) == "-1/2*1*hi + 2*1*eps + 5/3*1*hh - 7/2*k*hh"
+    assert str(Hybrid(Fraction(-1, 4), 0, 0, 1)) == "-1/4 + 1*hh"
+    assert str(Quaternion(0, 0, Fraction(2, 4), 0)) == "1/2*j"
+    for cls, build in _ALGEBRAS.items():
+        assert str(build([0] * len(cls._FIELDS))) == "0"
+
+
+def test_str_of_numerators_past_the_int_digit_limit():
+    big = 10**4400 + 1  # odd, so it stays over 2
+    x = HybridQuaternion([Fraction(big, 2), 0, Fraction(-3, 2)] + [0] * 13)
+    with unlimited_digits():
+        assert str(x) == f"{big}/2*1*1 - 3/2*1*eps"
+        assert str(x) == render_terms(zip(x.components(), x._UNITS))
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int digit limit")
+    with pytest.raises(ValueError) as fraction_error:
+        str(Fraction(big, 2))
+    with pytest.raises(ValueError) as element_error:
+        str(x)
+    assert str(element_error.value) == str(fraction_error.value)
+
+
+def test_str_of_int_storage_builds_no_fraction(monkeypatch):
+    values = [
+        HybridQuaternion([Fraction(n, 6) for n in range(-8, 8)]),
+        Hybrid(Fraction(1, 2), -3, 0, Fraction(7, 4)),
+        Quaternion(0, Fraction(-5, 9), 2, 0),
+    ]
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    texts = [str(x) for x in values]
+    rendered = list(built)
+    Fraction(1, 3)  # the patch does see a Fraction built
+    monkeypatch.undo()
+    assert rendered == []
+    assert built == [(1, 3)]
+    assert texts[1] == "1/2 - 3*hi + 7/4*hh"
